@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,11 +78,6 @@ def _series_coefficient(distances: tuple[int, ...], n: int) -> int:
     return genfun.direct_series_specified(spec, n)[n]
 
 
-def _quasipoly_order(spec: DistanceSpec) -> int:
-    period = math.lcm(*range(1, spec.total + 1))
-    return spec.min_weight + period * (spec.total + 1)
-
-
 def _compute_record(n: int, distances: tuple[int, ...] | None, method: str) -> OutputRecord:
     if method == "enumerate":
         value = counting.count(PartitionCountQuery(n, distances))
@@ -91,7 +85,7 @@ def _compute_record(n: int, distances: tuple[int, ...] | None, method: str) -> O
         value = _series_coefficient(distances, n)
     else:  # quasipoly
         spec = DistanceSpec(distances)
-        qp = quasipoly.from_closed_form(spec, _quasipoly_order(spec))
+        qp = quasipoly.from_closed_form(spec, quasipoly.required_order(spec))
         exact = qp.evaluate(n)
         if exact.denominator != 1:
             raise PartitionGFError(f"quasipolynomial value at n={n} is not integral: {exact}")
@@ -178,7 +172,7 @@ def cmd_fit(args) -> int:
         raise UsageError("difference 0 has no quasipolynomial (the counts are divisor counts)")
     spec = DistanceSpec(distances)
     try:
-        order = args.order if args.order is not None else _quasipoly_order(spec)
+        order = args.order if args.order is not None else quasipoly.required_order(spec)
         qp = quasipoly.from_closed_form(spec, order)
     except OutOfRange as exc:
         raise UsageError(
@@ -252,7 +246,7 @@ def _check_asymptotics(t_max: int) -> list[tuple[str, bool, str]]:
     results = []
     for t in range(2, t_max + 1):
         spec = DistanceSpec((t,))
-        qp = quasipoly.from_closed_form(spec, _quasipoly_order(spec))
+        qp = quasipoly.from_closed_form(spec, quasipoly.required_order(spec))
         got = qp.leading_coefficient()
         want = quasipoly.expected_leading(t)
         detail = "" if got == want else f"leading {got} != {want}"

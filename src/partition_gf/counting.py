@@ -49,10 +49,12 @@ def _multiset_sums(parts: Sequence[int], total: int) -> list[int]:
 
 
 def _check_distances(distances: Sequence[int]) -> tuple[int, ...]:
-    distances = tuple(int(d) for d in distances)
+    distances = tuple(distances)
     if not distances:
         raise InvalidDistance("distance vector must be non-empty")
     for d in distances:
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise InvalidDistance(f"distances must be integers, got {d!r}")
         if d < 1:
             raise InvalidDistance(f"distances must be >= 1, got {d}")
     return distances

@@ -30,7 +30,7 @@ class InvalidDifference(PartitionGFError):
 
 
 class InvalidDistance(PartitionGFError):
-    """A distance vector entry was < 1."""
+    """A distance vector was empty or had an entry that is not an integer >= 1."""
 
 
 class OutOfRange(PartitionGFError):

@@ -23,11 +23,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .counting import divisor_count
+from .counting import _check_distances, divisor_count
 from .errors import (
     CutoffTooSmall,
     InvalidDifference,
-    InvalidDistance,
     InvalidExponent,
     OutOfRange,
 )
@@ -58,13 +57,7 @@ class DistanceSpec:
     distances: tuple[int, ...]
 
     def __init__(self, distances: Sequence[int]):
-        distances = tuple(int(d) for d in distances)
-        if not distances:
-            raise InvalidDistance("distance vector must be non-empty")
-        for d in distances:
-            if d < 1:
-                raise InvalidDistance(f"distances must be >= 1, got {d}")
-        object.__setattr__(self, "distances", distances)
+        object.__setattr__(self, "distances", _check_distances(distances))
 
     @property
     def total(self) -> int:

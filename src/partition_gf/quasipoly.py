@@ -4,8 +4,9 @@ and the explicit residue-class formulas for difference 3 and distances (2,2).
 
 A quasipolynomial of period P and degree d keeps one coefficient row per
 residue class mod P; evaluation picks the row for n mod P and evaluates the
-polynomial at n.  Fitting interpolates the earliest d+1 samples of each class
-and treats every further sample as a consistency witness: a mismatch raises
+polynomial at n.  Fitting takes integer forward differences along each class
+n = r + jP: the first d+1 give the Newton form in j, turned into rows only
+for output, and every (d+1)-th difference must vanish.  A nonzero one raises
 instead of being averaged away, because an inconsistency falsifies the
 degree/period hypothesis rather than being noise.
 """
@@ -86,62 +87,71 @@ class QuasiPolynomial:
         return cls(period=int(data["period"]), degree=int(data["degree"]), rows=rows)
 
 
-def qp_evaluate(qp: QuasiPolynomial, n: int) -> Fraction:
-    return qp.evaluate(n)
-
-
-def qp_leading_coefficient(qp: QuasiPolynomial) -> Fraction:
-    return qp.leading_coefficient()
-
-
-def _interpolate(points: Sequence[tuple[int, int]]) -> tuple[Fraction, ...]:
-    # Exact Gaussian elimination on the Vandermonde system; the abscissas are
-    # distinct so the system is nonsingular.
-    d = len(points) - 1
-    rows = [[Fraction(n) ** j for j in range(d + 1)] + [Fraction(v)] for n, v in points]
-    for col in range(d + 1):
-        pivot = next(r for r in range(col, d + 1) if rows[r][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(d + 1):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return tuple(rows[j][d + 1] for j in range(d + 1))
+def _newton_row(start: int, step: int, diffs: Sequence[int]) -> tuple[Fraction, ...]:
+    # Newton form sum_i diffs[i] * C(j, i) with n = start + j*step, rewritten
+    # in powers of n over the common denominator t! * step^t (t = len(diffs)-1).
+    t = len(diffs) - 1
+    numer = [0] * (t + 1)
+    basis = [1]  # prod_{m<i} (n - start - m*step), lowest power first
+    for i, delta in enumerate(diffs):
+        scale = delta * (math.factorial(t) // math.factorial(i)) * step ** (t - i)
+        for power, c in enumerate(basis):
+            numer[power] += scale * c
+        root = start + i * step
+        basis = [a - root * b for a, b in zip([0, *basis], [*basis, 0])]
+    denom = math.factorial(t) * step**t
+    return tuple(Fraction(c, denom) for c in numer)
 
 
 def fit(values: Mapping[int, int], degree: int, period: int) -> QuasiPolynomial:
     """Interpolate a quasipolynomial of the given degree and period from exact
     sample values (a mapping n -> integer).
 
-    Each residue class needs at least degree+1 samples (InsufficientSamples
-    otherwise); any samples beyond the earliest degree+1 must lie on the
-    interpolated polynomial or InconsistentSamples is raised.
+    Each residue class needs degree+1 samples or more (InsufficientSamples),
+    one period apart (ValueError on a gap); a nonzero (degree+1)-th forward
+    difference raises InconsistentSamples at the first sample it falsifies.
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
+    classes: list[list[tuple[int, int]]] = [[] for _ in range(period)]
+    for n, v in values.items():
+        classes[n % period].append((n, v))
     rows = []
-    for r in range(period):
-        samples = sorted((n, v) for n, v in values.items() if n % period == r)
+    for r, samples in enumerate(classes):
         if len(samples) < degree + 1:
             raise InsufficientSamples(
                 f"residue class {r} mod {period} has {len(samples)} samples, "
                 f"needs {degree + 1}"
             )
-        coeffs = _interpolate(samples[: degree + 1])
-        poly = QuasiPolynomial(1, degree, (coeffs,))
-        for n, v in samples[degree + 1 :]:
-            got = poly.evaluate(n)
-            if got != v:
+        samples.sort()
+        start = samples[0][0]
+        for j, (n, _) in enumerate(samples):
+            if n != start + j * period:
+                raise ValueError(
+                    f"residue class {r} mod {period} is missing n={start + j * period}"
+                )
+        level = [v for _, v in samples]
+        leading = []
+        for _ in range(degree + 1):
+            leading.append(level[0])
+            level = [b - a for a, b in zip(level, level[1:])]
+        for j, delta in enumerate(level):
+            if delta:
+                n, v = samples[j + degree + 1]
                 raise InconsistentSamples(
                     f"degree {degree}, period {period} cannot hold: at n={n} "
-                    f"the residue-{r} fit gives {got}, sample says {v}"
+                    f"the residue-{r} fit gives {v - delta}, sample says {v}"
                 )
-        rows.append(coeffs)
+        rows.append(_newton_row(start, period, leading))
     return QuasiPolynomial(period, degree, tuple(rows))
+
+
+def required_order(spec) -> int:
+    """The least order `from_closed_form` takes: t+1 samples per class."""
+    spec = _coerce_spec(spec)
+    return spec.min_weight + math.lcm(*range(1, spec.total + 1)) * (spec.total + 1)
 
 
 def from_closed_form(spec, order: int) -> QuasiPolynomial:
@@ -157,7 +167,7 @@ def from_closed_form(spec, order: int) -> QuasiPolynomial:
     if t <= max(1, k):
         raise OutOfRange(f"no closed form for t={t}, k={k}; need t > max(1, k)")
     period = math.lcm(*range(1, t + 1))
-    required = spec.min_weight + period * (t + 1)
+    required = required_order(spec)
     if order < required:
         raise ValueError(
             f"order {order} cannot feed {t + 1} samples to every residue class "

@@ -138,6 +138,11 @@ class TestCountSpecified:
         with pytest.raises(InvalidDistance):
             specified_table((), 10)
 
+    @pytest.mark.parametrize("distances", [(2.9, 2.2), (2.0, 2), (True, 2)])
+    def test_rejects_non_integral_distances(self, distances):
+        with pytest.raises(InvalidDistance):
+            count_specified(11, distances)
+
     def test_rejects_zero_n(self):
         with pytest.raises(ValueError):
             count_specified(0, (2, 2))

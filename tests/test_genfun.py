@@ -53,6 +53,11 @@ class TestDistanceSpec:
         with pytest.raises(InvalidDistance):
             DistanceSpec((2, 0))
 
+    @pytest.mark.parametrize("distances", [(2.5,), (True, 2), ("2",)])
+    def test_rejects_non_integral_distances(self, distances):
+        with pytest.raises(InvalidDistance):
+            DistanceSpec(distances)
+
 
 class TestDirectSeriesFixedDiff:
     def test_difference_one_counts_nondivisors(self):

@@ -1,12 +1,16 @@
 """Quasipolynomial fitting, the explicit case tables, and the leading
 coefficient law."""
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from partition_gf.cli import main
 from partition_gf.counting import fixed_diff_table, specified_table
 from partition_gf.errors import (
     InconsistentSamples,
@@ -24,8 +28,7 @@ from partition_gf.quasipoly import (
     p3_quasipolynomial,
     p22_explicit,
     p22_quasipolynomial,
-    qp_evaluate,
-    qp_leading_coefficient,
+    required_order,
 )
 
 # Small fixed-difference-3 values frozen from raw enumeration (n = 1..20).
@@ -39,10 +42,10 @@ class TestEvaluate:
         assert qp.evaluate(123456) == 5
 
     def test_difference_three_table_at_twelve(self):
-        assert qp_evaluate(p3_quasipolynomial(), 12) == 14
+        assert p3_quasipolynomial().evaluate(12) == 14
 
     def test_distance_two_two_table_at_eleven(self):
-        assert qp_evaluate(p22_quasipolynomial(), 11) == 2
+        assert p22_quasipolynomial().evaluate(11) == 2
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
@@ -51,7 +54,7 @@ class TestEvaluate:
 
 class TestLeadingCoefficient:
     def test_difference_three(self):
-        assert qp_leading_coefficient(p3_quasipolynomial()) == Fraction(1, 108)
+        assert p3_quasipolynomial().leading_coefficient() == Fraction(1, 108)
 
     def test_mismatched_rows_raise(self):
         qp = QuasiPolynomial(
@@ -81,6 +84,24 @@ class TestFit:
         values[9] = 999
         with pytest.raises(InconsistentSamples):
             fit(values, degree=2, period=1)
+
+    def test_inconsistency_names_n_prediction_and_sample(self):
+        # 3 mod 4 holds 3, 7, 11, 15, 19; corrupting n=15 breaks that class's
+        # third difference, and its fitted square predicts 225.
+        values = {n: n * n for n in range(1, 21)}
+        values[15] = 230
+        with pytest.raises(InconsistentSamples) as info:
+            fit(values, degree=2, period=4)
+        message = str(info.value)
+        assert "at n=15" in message
+        assert "residue-3 fit gives 225" in message
+        assert "sample says 230" in message
+
+    def test_gap_in_a_class_is_rejected(self):
+        values = {n: n * n for n in range(1, 21)}
+        del values[10]
+        with pytest.raises(ValueError, match=r"residue class 0 mod 2 is missing n=10"):
+            fit(values, degree=2, period=2)
 
     def test_exact_square_fit(self):
         qp = fit({n: n * n for n in range(1, 10)}, degree=2, period=1)
@@ -121,6 +142,15 @@ class TestFromClosedForm:
     def test_rejects_short_expansion(self):
         with pytest.raises(ValueError):
             from_closed_form(DistanceSpec((3,)), 20)
+        spec = DistanceSpec((2, 2))
+        with pytest.raises(ValueError):
+            from_closed_form(spec, required_order(spec) - 1)
+        assert from_closed_form(spec, required_order(spec)).period == 12
+
+    def test_required_order(self):
+        # min_weight + lcm(1..t) * (t + 1)
+        assert required_order(DistanceSpec((3,))) == 5 + 6 * 4
+        assert required_order((2, 2)) == 9 + 12 * 5
 
     @pytest.mark.parametrize("t", range(2, 7))
     def test_triple_agreement(self, t):
@@ -249,3 +279,27 @@ class TestSerialization:
         assert data["degree"] == 3
         assert data["rows"][0][3] == "1/108"
         assert all(isinstance(entry, str) for row in data["rows"] for entry in row)
+
+
+# sha256 of `partition-gf fit --distances D` stdout, captured from the
+# Vandermonde-solve fit before it was replaced by forward differences.
+FIT_GOLDEN = {
+    "2": "3ea238783d1e290c14092126bb23b7454fdf3be8c14780962200151f543cd37b",
+    "3": "aa790349e16fb97da7105579964f30536b182788c57f2752c465702b794d90c6",
+    "4": "867d7259dfc4e2bc915bc5079708f4b2ed3608df42638b5800c7ec43a5988189",
+    "5": "ab6ba29a9e1f6e118e9a672a6fce087ca64cc5bc40098436e29b2174540769cb",
+    "6": "8aa3ce6958c5e9fd16091082514950f1daed017600c9e8682eb57507f90bf85f",
+    "7": "ea7654ec0e72a180e4f53f44f5518e698188315a271ec45bf296ce566c312091",
+    "8": "dbedbce0719233396a52c9a1c3cbf241a803a42a65279a9ca6ddac23e172506a",
+    "2,2": "47bc8a287b82b6eb2348bd5f5113291b15d823d40ea5ef59dacf565c279aa34b",
+    "1,5,1": "a0b1eee4461d0e883ca04d5e1a83c81952b0bab9704c420dfa7d81d18acb6ef7",
+    "2,4": "6a3185a05f2171f64a8d3d37dc4289b9657d865f6b715632a4c146579ecc7203",
+}
+
+
+@pytest.mark.parametrize("distances", sorted(FIT_GOLDEN))
+def test_fit_output_matches_golden(distances):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["fit", "--distances", distances]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == FIT_GOLDEN[distances]
