@@ -1,5 +1,7 @@
 """Exact counting of integer partitions by the difference between their
 largest and smallest parts, or by a vector of specified milestone distances.
+A fixed difference t is the one-distance case: every route takes a
+:class:`DistanceSpec`, and ``(t,)`` is the spec for difference t.
 
 Three independent routes to every count, all in exact arithmetic:
 
@@ -14,8 +16,6 @@ the command line.
 """
 
 from .counting import (
-    PartitionCountQuery,
-    count,
     count_fixed_diff,
     count_specified,
     divisor_count,
@@ -27,7 +27,6 @@ from .genfun import (
     DistanceSpec,
     closed_form_fixed_diff,
     closed_form_specified,
-    direct_series_fixed_diff,
     direct_series_specified,
     heine_check,
     p1_identity_check,
@@ -37,7 +36,6 @@ from .qseries import (
     FactoredRational,
     IntPolynomial,
     TruncatedSeries,
-    expand_factored,
     gauss_binomial,
     geometric_inverse,
     pochhammer_infinite,
@@ -60,8 +58,6 @@ from .quasipoly import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PartitionCountQuery",
-    "count",
     "count_fixed_diff",
     "count_specified",
     "divisor_count",
@@ -71,7 +67,6 @@ __all__ = [
     "DistanceSpec",
     "closed_form_fixed_diff",
     "closed_form_specified",
-    "direct_series_fixed_diff",
     "direct_series_specified",
     "heine_check",
     "p1_identity_check",
@@ -79,7 +74,6 @@ __all__ = [
     "FactoredRational",
     "IntPolynomial",
     "TruncatedSeries",
-    "expand_factored",
     "gauss_binomial",
     "geometric_inverse",
     "pochhammer_infinite",

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import counting, genfun, oeis, quasipoly
-from .counting import PartitionCountQuery
+from .counting import DistanceSpec
 from .errors import NetworkError, NotFound, OutOfRange, ParseError, PartitionGFError
-from .genfun import DistanceSpec
 from .qseries import pochhammer_q
 
 EXIT_OK = 0
@@ -64,25 +63,14 @@ def parse_distances(text: str) -> tuple[int, ...] | None:
     return tuple(values)
 
 
-def _series_coefficient(distances: tuple[int, ...], n: int) -> int:
-    spec = DistanceSpec(distances)
-    if spec.total > max(1, spec.k):
-        form = (
-            genfun.closed_form_fixed_diff(spec.total)
-            if spec.k == 1
-            else genfun.closed_form_specified(spec)
-        )
-        return form.expand(n)[n]
-    if spec.k == 1:
-        return genfun.direct_series_fixed_diff(spec.total, n)[n]
-    return genfun.direct_series_specified(spec, n)[n]
-
-
 def _compute_record(n: int, distances: tuple[int, ...] | None, method: str) -> OutputRecord:
     if method == "enumerate":
-        value = counting.count(PartitionCountQuery(n, distances))
+        if distances is None:
+            value = counting.divisor_count(n)
+        else:
+            value = counting.count_specified(n, distances)
     elif method == "series":
-        value = _series_coefficient(distances, n)
+        value = genfun.series(distances, n)[n]
     else:  # quasipoly
         spec = DistanceSpec(distances)
         qp = quasipoly.from_closed_form(spec, quasipoly.required_order(spec))
@@ -114,9 +102,8 @@ def cmd_compute(args) -> int:
         raise UsageError(f"n must be >= 1, got {args.n}")
     applicable = ["enumerate"]
     if distances is not None:
-        spec = DistanceSpec(distances)
         applicable.append("series")
-        if spec.total > max(1, spec.k):
+        if DistanceSpec(distances).has_closed_form:
             applicable.append("quasipoly")
     if args.method == "all":
         methods = applicable
@@ -142,19 +129,7 @@ def cmd_series(args) -> int:
         raise UsageError("series requires distances >= 1 (difference 0 is a divisor count)")
     if args.order < 1:
         raise UsageError(f"order must be >= 1, got {args.order}")
-    spec = DistanceSpec(distances)
-    if spec.total > max(1, spec.k):
-        form = (
-            genfun.closed_form_fixed_diff(spec.total)
-            if spec.k == 1
-            else genfun.closed_form_specified(spec)
-        )
-        series = form.expand(args.order)
-    elif spec.k == 1:
-        series = genfun.direct_series_fixed_diff(spec.total, args.order)
-    else:
-        series = genfun.direct_series_specified(spec, args.order)
-    coeffs = [str(c) for c in series.coeffs]
+    coeffs = [str(c) for c in genfun.series(distances, args.order).coeffs]
     if args.format == "json":
         print(json.dumps({"spec": list(distances), "order": args.order, "coeffs": coeffs}, indent=2))
     elif args.format == "csv":
@@ -195,18 +170,6 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _check_routes_fixed(t_max: int, n_max: int) -> list[tuple[str, bool, str]]:
-    results = []
-    for t in range(2, t_max + 1):
-        closed = genfun.closed_form_fixed_diff(t).expand(n_max)
-        direct = genfun.direct_series_fixed_diff(t, n_max)
-        counts = counting.fixed_diff_table(t, n_max)
-        ok = closed == direct and list(closed.coeffs)[1:] == counts[1:]
-        detail = "" if ok else "routes disagree"
-        results.append((f"routes/fixed-diff/t={t}", ok, detail))
-    return results
-
-
 def _specified_grid(max_k: int = 3, max_distance: int = 4):
     import itertools
 
@@ -216,16 +179,22 @@ def _specified_grid(max_k: int = 3, max_distance: int = 4):
                 yield distances
 
 
-def _check_routes_specified(n_max: int) -> list[tuple[str, bool, str]]:
+def _check_routes(specs, n_max: int) -> list[tuple[str, bool, str]]:
+    """The closed form, the direct sum and the counting table must agree on
+    each spec; for one distance the paper's displayed form must match too."""
     results = []
-    for distances in _specified_grid():
+    for distances in specs:
         spec = DistanceSpec(distances)
         closed = genfun.closed_form_specified(spec).expand(n_max)
         direct = genfun.direct_series_specified(spec, n_max)
-        counts = counting.specified_table(distances, n_max)
+        counts = counting.specified_table(spec, n_max)
         ok = closed == direct and list(closed.coeffs)[1:] == counts[1:]
-        name = ",".join(str(d) for d in distances)
-        results.append((f"routes/specified/({name})", ok, "" if ok else "routes disagree"))
+        if spec.k == 1:
+            ok = ok and genfun.closed_form_fixed_diff(spec.total).expand(n_max) == closed
+            check_id = f"routes/fixed-diff/t={spec.total}"
+        else:
+            check_id = f"routes/specified/({','.join(str(d) for d in distances)})"
+        results.append((check_id, ok, "" if ok else "routes disagree"))
     return results
 
 
@@ -270,9 +239,16 @@ def _check_oeis(fixtures_dir, n_max: int) -> list[tuple[str, bool, str]]:
 
 
 def cmd_verify(args) -> int:
+    for option, value, least in (
+        ("--t-max", args.t_max, 2),
+        ("--n-max", args.n_max, 1),
+        ("--order", args.order, 1),
+    ):
+        if value < least:
+            raise UsageError(f"{option} must be >= {least}, got {value}")
     suites = {
-        "routes": lambda: _check_routes_fixed(args.t_max, args.n_max)
-        + _check_routes_specified(min(args.n_max, 120)),
+        "routes": lambda: _check_routes([(t,) for t in range(2, args.t_max + 1)], args.n_max)
+        + _check_routes(_specified_grid(), min(args.n_max, 120)),
         "identities": lambda: _check_identities(args.t_max, args.order),
         "asymptotics": lambda: _check_asymptotics(args.t_max),
         "oeis": lambda: _check_oeis(args.fixtures_dir, min(args.n_max, 400)),

@@ -48,21 +48,58 @@ def _multiset_sums(parts: Sequence[int], total: int) -> list[int]:
     return ways
 
 
-def _check_distances(distances: Sequence[int]) -> tuple[int, ...]:
-    distances = tuple(distances)
-    if not distances:
-        raise InvalidDistance("distance vector must be non-empty")
-    for d in distances:
-        if isinstance(d, bool) or not isinstance(d, int):
-            raise InvalidDistance(f"distances must be integers, got {d!r}")
-        if d < 1:
-            raise InvalidDistance(f"distances must be >= 1, got {d}")
-    return distances
+@dataclass(frozen=True)
+class DistanceSpec:
+    """A non-empty vector of positive distances (t1..tk); a fixed difference
+    t is the one-distance spec (t,).
+
+    With smallest part s, the milestones s, s+t1, s+t1+t2, ..., s+t must all
+    occur; t = sum of distances is the largest-smallest difference and the
+    weighted total sum_i (k+1-i) t_i is the exponent offset contributed by
+    the forced milestones.
+    """
+
+    distances: tuple[int, ...]
+
+    def __init__(self, distances: Sequence[int]):
+        distances = tuple(distances)
+        if not distances:
+            raise InvalidDistance("distance vector must be non-empty")
+        for d in distances:
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise InvalidDistance(f"distances must be integers, got {d!r}")
+            if d < 1:
+                raise InvalidDistance(f"distances must be >= 1, got {d}")
+        object.__setattr__(self, "distances", distances)
+
+    @property
+    def total(self) -> int:
+        """t: the difference between largest and smallest parts."""
+        return sum(self.distances)
+
+    @property
+    def k(self) -> int:
+        return len(self.distances)
+
+    @property
+    def weighted_total(self) -> int:
+        """sum_i (k+1-i) t_i: total weight of the forced milestones above k+1 copies of s."""
+        k = self.k
+        return sum((k + 1 - i) * d for i, d in enumerate(self.distances, start=1))
+
+    @property
+    def min_weight(self) -> int:
+        """Smallest n with a counted partition (take smallest part 1)."""
+        return (self.k + 1) + self.weighted_total
+
+    @property
+    def has_closed_form(self) -> bool:
+        """t > k: the generating function is rational (t > 1 when k = 1)."""
+        return self.total > self.k
 
 
-def _weighted_total(distances: Sequence[int]) -> int:
-    k = len(distances)
-    return sum((k + 1 - i) * d for i, d in enumerate(distances, start=1))
+def _coerce_spec(spec) -> DistanceSpec:
+    return spec if isinstance(spec, DistanceSpec) else DistanceSpec(spec)
 
 
 def fixed_diff_table(t: int, n_max: int) -> list[int]:
@@ -70,34 +107,25 @@ def fixed_diff_table(t: int, n_max: int) -> list[int]:
     n = 0..n_max at once (index n).  Entry 0 is always 0."""
     if t < 0:
         raise ValueError(f"difference must be >= 0, got {t}")
+    if t > 0:
+        return specified_table((t,), n_max)
+    # all parts equal some divisor of n: sieve over part values
     counts = [0] * (n_max + 1)
-    if t == 0:
-        # all parts equal some divisor of n: sieve over part values
-        for part in range(1, n_max + 1):
-            for n in range(part, n_max + 1, part):
-                counts[n] += 1
-        return counts
-    s = 1
-    while 2 * s + t <= n_max:
-        base = 2 * s + t  # one forced copy each of s and s+t
-        ways = _multiset_sums(range(s, s + t + 1), n_max - base)
-        for r, w in enumerate(ways):
-            counts[base + r] += w
-        s += 1
+    for part in range(1, n_max + 1):
+        for n in range(part, n_max + 1, part):
+            counts[n] += 1
     return counts
 
 
-def specified_table(distances: Sequence[int], n_max: int) -> list[int]:
+def specified_table(spec, n_max: int) -> list[int]:
     """Counts of partitions with the given milestone distances, n = 0..n_max.
 
     With smallest part s, the k+1 milestones s, s+t1, s+t1+t2, ... each occur
     at least once and every other part lies in [s, s+t]; the forced milestones
     weigh (k+1)s + sum_i (k+1-i) t_i.
     """
-    distances = _check_distances(distances)
-    t = sum(distances)
-    k = len(distances)
-    weighted = _weighted_total(distances)
+    spec = _coerce_spec(spec)
+    t, k, weighted = spec.total, spec.k, spec.weighted_total
     counts = [0] * (n_max + 1)
     s = 1
     while (k + 1) * s + weighted <= n_max:
@@ -118,44 +146,20 @@ def count_fixed_diff(n: int, t: int) -> int:
     return fixed_diff_table(t, n)[n]
 
 
-def count_specified(n: int, distances: Sequence[int]) -> int:
+def count_specified(n: int, spec) -> int:
     """# partitions of n realizing the milestone distances (see specified_table)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return specified_table(distances, n)[n]
+    return specified_table(spec, n)[n]
 
 
-@dataclass(frozen=True)
-class PartitionCountQuery:
-    """A single counting question: spec distances, or None for difference zero."""
-
-    n: int
-    distances: tuple[int, ...] | None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.distances is not None:
-            _check_distances(self.distances)
-
-
-def count(query: PartitionCountQuery) -> int:
-    if query.distances is None:
-        return divisor_count(query.n)
-    if len(query.distances) == 1:
-        return count_fixed_diff(query.n, query.distances[0])
-    return count_specified(query.n, query.distances)
-
-
-def iter_specified(n: int, distances: Sequence[int]) -> Iterator[tuple[int, ...]]:
+def iter_specified(n: int, spec) -> Iterator[tuple[int, ...]]:
     """Yield the counted partitions themselves, nonincreasing tuples.
 
     Diagnostic helper for tests; exponential in spirit but only used at small n.
     """
-    distances = _check_distances(distances)
-    t = sum(distances)
-    k = len(distances)
-    weighted = _weighted_total(distances)
+    spec = _coerce_spec(spec)
+    distances, t, k, weighted = spec.distances, spec.total, spec.k, spec.weighted_total
     s = 1
     while (k + 1) * s + weighted <= n:
         milestones = [s]

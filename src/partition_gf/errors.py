@@ -25,16 +25,12 @@ class InternalError(PartitionGFError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 
 
-class InvalidDifference(PartitionGFError):
-    """The largest-smallest difference t is outside the operation's domain."""
-
-
 class InvalidDistance(PartitionGFError):
     """A distance vector was empty or had an entry that is not an integer >= 1."""
 
 
 class OutOfRange(PartitionGFError):
-    """Arguments violate a theorem hypothesis (e.g. t <= 1 or t <= k)."""
+    """Arguments violate a theorem hypothesis (e.g. total distance t <= k)."""
 
 
 class CutoffTooSmall(PartitionGFError):

@@ -1,5 +1,5 @@
-"""Generating functions for partitions with a fixed largest-smallest
-difference or a vector of specified milestone distances.
+"""Generating functions for partitions with specified milestone distances
+(t1..tk); a fixed largest-smallest difference t is the one-distance case (t,).
 
 Every generating function is available by two routes that must agree:
 
@@ -7,9 +7,11 @@ Every generating function is available by two routes that must agree:
   summands cannot touch the requested truncation order, and
 * a closed rational form with a (1-q^m)-product denominator.
 
-The closed forms exist for difference t > 1 (single difference) and total
-distance t > k (k distances); below those thresholds the series are not
-rational and only the direct route applies.
+The closed form exists when the total distance t exceeds k (t > 1 for a
+fixed difference); below that the series is not rational and only the
+direct route applies.  `series` picks the route.  `closed_form_fixed_diff`
+is the paper's displayed form for one distance, kept as an independent
+check on `closed_form_specified`.
 
 The module also verifies, at truncated-series level, the two classical
 identities the closed forms rest on: Heine's transformation of basic
@@ -20,16 +22,9 @@ q-binomial theorem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
-from .counting import _check_distances, divisor_count
-from .errors import (
-    CutoffTooSmall,
-    InvalidDifference,
-    InvalidExponent,
-    OutOfRange,
-)
+from .counting import DistanceSpec, _coerce_spec, divisor_count  # DistanceSpec re-exported
+from .errors import CutoffTooSmall, InvalidExponent, OutOfRange
 from .qseries import (
     FactoredRational,
     IntPolynomial,
@@ -42,70 +37,6 @@ from .qseries import (
     series_div_unit,
     series_mul,
 )
-
-
-@dataclass(frozen=True)
-class DistanceSpec:
-    """A non-empty vector of positive distances (t1..tk).
-
-    With smallest part s, the milestones s, s+t1, s+t1+t2, ..., s+t must all
-    occur; t = sum of distances is the largest-smallest difference and the
-    weighted total sum_i (k+1-i) t_i is the exponent offset contributed by
-    the forced milestones.
-    """
-
-    distances: tuple[int, ...]
-
-    def __init__(self, distances: Sequence[int]):
-        object.__setattr__(self, "distances", _check_distances(distances))
-
-    @property
-    def total(self) -> int:
-        """t: the difference between largest and smallest parts."""
-        return sum(self.distances)
-
-    @property
-    def k(self) -> int:
-        return len(self.distances)
-
-    @property
-    def weighted_total(self) -> int:
-        """sum_i (k+1-i) t_i: total weight of the forced milestones above k+1 copies of s."""
-        k = self.k
-        return sum((k + 1 - i) * d for i, d in enumerate(self.distances, start=1))
-
-    @property
-    def min_weight(self) -> int:
-        """Smallest n with a counted partition (take smallest part 1)."""
-        return (self.k + 1) + self.weighted_total
-
-
-def _coerce_spec(spec) -> DistanceSpec:
-    return spec if isinstance(spec, DistanceSpec) else DistanceSpec(spec)
-
-
-def direct_series_fixed_diff(t: int, order: int) -> TruncatedSeries:
-    """Sum over the smallest part m of
-    q^m/(1-q^m) * prod_{i=1}^{t-1} 1/(1-q^{m+i}) * q^{m+t}/(1-q^{m+t}),
-    truncated at `order`.
-
-    The m-th summand starts at q^{2m+t}, so only m <= (order-t)/2 contribute.
-    """
-    if t < 1:
-        raise InvalidDifference(
-            f"difference must be >= 1 (difference 0 is counted by divisors), got {t}"
-        )
-    total = [0] * (order + 1)
-    m = 1
-    while 2 * m + t <= order:
-        term = [0] * (order + 1)
-        term[2 * m + t] = 1
-        for i in range(t + 1):
-            _divide_by_one_minus_q_power(term, m + i)
-        for j in range(2 * m + t, order + 1):
-            total[j] += term[j]
-        m += 1
-    return TruncatedSeries(total)
 
 
 def direct_series_specified(spec, order: int) -> TruncatedSeries:
@@ -163,7 +94,7 @@ def closed_form_specified(spec) -> FactoredRational:
     """
     spec = _coerce_spec(spec)
     t, k, weighted = spec.total, spec.k, spec.weighted_total
-    if t <= k:
+    if not spec.has_closed_form:
         raise OutOfRange(f"closed form requires total distance > k, got t={t}, k={k}")
     small_sum = IntPolynomial()
     for j in range(k + 1):
@@ -181,6 +112,15 @@ def closed_form_specified(spec) -> FactoredRational:
         + [(m, 1) for m in range(1, t + 1)]  # (q)_t
     )
     return FactoredRational(numerator, denominator).reduce()
+
+
+def series(spec, order: int) -> TruncatedSeries:
+    """The generating function for `spec` through q^order: the closed form's
+    expansion where one exists, else the direct sum."""
+    spec = _coerce_spec(spec)
+    if spec.has_closed_form:
+        return closed_form_specified(spec).expand(order)
+    return direct_series_specified(spec, order)
 
 
 def qbinomial_alternating_sum(t: int, j_min: int = 0) -> IntPolynomial:
@@ -205,7 +145,7 @@ def p1_identity_check(order: int) -> bool:
     sum, and the nondivisor counts n - d(n) themselves."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    summed = direct_series_fixed_diff(1, order)
+    summed = direct_series_specified((1,), order)
 
     rational = list(
         FactoredRational(IntPolynomial.monomial(1), [(1, 2)]).expand(order).coeffs

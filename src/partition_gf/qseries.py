@@ -318,12 +318,7 @@ def geometric_inverse(m: int, order: int) -> TruncatedSeries:
 
 def pochhammer_q(m: int) -> IntPolynomial:
     """(1-q)(1-q^2)...(1-q^m); the empty product 1 for m=0.  Degree m(m+1)/2."""
-    if m < 0:
-        raise ValueError(f"number of factors must be >= 0, got {m}")
-    out = POLY_ONE
-    for i in range(1, m + 1):
-        out = out * IntPolynomial.one_minus_q_power(i)
-    return out
+    return pochhammer_shifted(1, m)
 
 
 def pochhammer_shifted(a: int, m: int) -> IntPolynomial:
@@ -332,10 +327,10 @@ def pochhammer_shifted(a: int, m: int) -> IntPolynomial:
         raise InvalidExponent(f"starting exponent must be >= 1, got {a}")
     if m < 0:
         raise ValueError(f"number of factors must be >= 0, got {m}")
-    out = POLY_ONE
+    out = [1] + [0] * (m * a + m * (m - 1) // 2)
     for j in range(m):
-        out = out * IntPolynomial.one_minus_q_power(a + j)
-    return out
+        _multiply_by_one_minus_q_power(out, a + j)
+    return IntPolynomial(out)
 
 
 def pochhammer_infinite(a: int, order: int) -> TruncatedSeries:
@@ -498,8 +493,3 @@ def _cofactor(common: dict[int, int], part: dict[int, int]) -> IntPolynomial:
         for _ in range(e - part.get(m, 0)):
             out = out * IntPolynomial.one_minus_q_power(m)
     return out
-
-
-def expand_factored(fr: FactoredRational, order: int) -> TruncatedSeries:
-    """Series expansion of a factored rational through q^order."""
-    return fr.expand(order)

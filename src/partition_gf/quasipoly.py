@@ -26,7 +26,8 @@ from .errors import (
     NonConstantLeading,
     OutOfRange,
 )
-from .genfun import closed_form_fixed_diff, closed_form_specified, _coerce_spec
+from .counting import _coerce_spec
+from .genfun import closed_form_specified
 
 
 @dataclass(frozen=True)
@@ -164,8 +165,8 @@ def from_closed_form(spec, order: int) -> QuasiPolynomial:
     """
     spec = _coerce_spec(spec)
     t, k = spec.total, spec.k
-    if t <= max(1, k):
-        raise OutOfRange(f"no closed form for t={t}, k={k}; need t > max(1, k)")
+    if not spec.has_closed_form:
+        raise OutOfRange(f"no closed form for t={t}, k={k}; need t > k")
     period = math.lcm(*range(1, t + 1))
     required = required_order(spec)
     if order < required:
@@ -173,8 +174,7 @@ def from_closed_form(spec, order: int) -> QuasiPolynomial:
             f"order {order} cannot feed {t + 1} samples to every residue class "
             f"mod {period}; need >= {required}"
         )
-    form = closed_form_fixed_diff(t) if k == 1 else closed_form_specified(spec)
-    series = form.expand(order)
+    series = closed_form_specified(spec).expand(order)
     values = {n: series[n] for n in range(1, order + 1)}
     return fit(values, t, period)
 

@@ -15,7 +15,6 @@ from partition_gf.genfun import (
     DistanceSpec,
     closed_form_fixed_diff,
     closed_form_specified,
-    direct_series_fixed_diff,
     direct_series_specified,
     heine_check,
     qbinomial_alternating_sum,
@@ -54,7 +53,7 @@ def test_criterion_3_fixed_difference_route_equality():
     start = time.monotonic()
     for t in range(2, 9):
         closed = closed_form_fixed_diff(t).expand(200)
-        direct = direct_series_fixed_diff(t, 200)
+        direct = direct_series_specified((t,), 200)
         counts = counting.fixed_diff_table(t, 200)
         assert closed == direct
         assert list(closed.coeffs) == counts

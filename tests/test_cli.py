@@ -1,9 +1,11 @@
 """Command-line surface: formats, exit codes, and the verify suites."""
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from partition_gf import counting, genfun
 from partition_gf.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -13,6 +15,7 @@ from partition_gf.cli import (
     main,
     parse_distances,
 )
+from partition_gf.qseries import TruncatedSeries
 
 
 def run(capsys, *argv):
@@ -172,6 +175,58 @@ class TestVerify:
         assert code == EXIT_OK
         ids = [line.split()[1] for line in out.splitlines() if line.startswith("PASS")]
         assert ids == sorted(ids)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--suite", "identities", "--order", "0"),
+            ("--suite", "routes", "--n-max", "-1"),
+            ("--suite", "routes", "--n-max", "0"),
+            ("--suite", "asymptotics", "--t-max", "1"),
+        ],
+    )
+    def test_out_of_range_option_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: {argv[2]} must be >= ")
+
+
+def _bumped(coeffs):
+    coeffs = list(coeffs)
+    coeffs[30] += 1  # one coefficient inside every routes check at --n-max 60
+    return coeffs
+
+
+def _corrupt_table(real):
+    return lambda spec, n_max: _bumped(real(spec, n_max))
+
+
+def _corrupt_direct(real):
+    return lambda spec, order: TruncatedSeries(_bumped(real(spec, order).coeffs))
+
+
+def _corrupt_closed(real):
+    return lambda spec: SimpleNamespace(
+        expand=lambda order: TruncatedSeries(_bumped(real(spec).expand(order).coeffs))
+    )
+
+
+@pytest.mark.parametrize(
+    "module, name, corrupt",
+    [
+        pytest.param(counting, "specified_table", _corrupt_table, id="table"),
+        pytest.param(genfun, "direct_series_specified", _corrupt_direct, id="direct"),
+        pytest.param(genfun, "closed_form_specified", _corrupt_closed, id="closed"),
+        pytest.param(genfun, "closed_form_fixed_diff", _corrupt_closed, id="displayed"),
+    ],
+)
+def test_route_check_fails_when_one_route_is_wrong(capsys, monkeypatch, module, name, corrupt):
+    monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
+    code, out, _ = run(capsys, "verify", "--suite", "routes", "--t-max", "4", "--n-max", "60")
+    assert code == EXIT_VERIFY_FAIL
+    for t in (2, 3, 4):
+        assert f"FAIL routes/fixed-diff/t={t}: routes disagree" in out
 
 
 class TestFit:

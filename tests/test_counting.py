@@ -5,8 +5,6 @@ import math
 import pytest
 
 from partition_gf.counting import (
-    PartitionCountQuery,
-    count,
     count_fixed_diff,
     count_specified,
     divisor_count,
@@ -103,6 +101,8 @@ class TestCountFixedDiff:
             count_fixed_diff(0, 2)
         with pytest.raises(ValueError):
             fixed_diff_table(-1, 10)
+        with pytest.raises(ValueError):
+            count_fixed_diff(5, -1)
 
 
 class TestCountSpecified:
@@ -121,10 +121,8 @@ class TestCountSpecified:
         assert found == [(5, 3, 1, 1, 1), (5, 3, 2, 1)]
 
     def test_single_distance_reduces_to_fixed_diff(self):
-        for t in range(1, 7):
-            fixed = fixed_diff_table(t, 100)
-            spec = specified_table((t,), 100)
-            assert fixed == spec
+        for t, values in RAW_FIXED.items():
+            assert specified_table((t,), len(values))[1:] == values
 
     def test_table_agrees_with_pointwise(self):
         table = specified_table((2, 2), 30)
@@ -150,16 +148,16 @@ class TestCountSpecified:
 
 class TestQueryDispatch:
     def test_difference_zero(self):
-        assert count(PartitionCountQuery(6, None)) == 4
+        assert count_fixed_diff(6, 0) == 4
 
     def test_single_difference(self):
-        assert count(PartitionCountQuery(12, (3,))) == 14
+        assert count_specified(12, (3,)) == 14
 
     def test_distance_vector(self):
-        assert count(PartitionCountQuery(11, (2, 2))) == 2
+        assert count_specified(11, (2, 2)) == 2
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PartitionCountQuery(0, None)
+            count_fixed_diff(0, 0)
         with pytest.raises(InvalidDistance):
-            PartitionCountQuery(5, (1, 0))
+            count_specified(5, (1, 0))

@@ -5,10 +5,10 @@ import itertools
 
 import pytest
 
+from partition_gf import genfun
 from partition_gf.counting import divisor_count, fixed_diff_table, specified_table
 from partition_gf.errors import (
     CutoffTooSmall,
-    InvalidDifference,
     InvalidDistance,
     InvalidExponent,
     OutOfRange,
@@ -17,11 +17,11 @@ from partition_gf.genfun import (
     DistanceSpec,
     closed_form_fixed_diff,
     closed_form_specified,
-    direct_series_fixed_diff,
     direct_series_specified,
     heine_check,
     p1_identity_check,
     qbinomial_alternating_sum,
+    series,
 )
 from partition_gf.qseries import IntPolynomial, gauss_binomial, pochhammer_q
 
@@ -47,6 +47,12 @@ class TestDistanceSpec:
                 assert spec.weighted_total >= spec.total
                 assert (spec.weighted_total == spec.total) == (k == 1)
 
+    def test_closed_form_rule_is_total_above_k(self):
+        assert [DistanceSpec((t,)).has_closed_form for t in range(1, 4)] == [False, True, True]
+        assert not DistanceSpec((1, 1)).has_closed_form
+        assert DistanceSpec((1, 2)).has_closed_form
+        assert not DistanceSpec((1, 1, 1)).has_closed_form
+
     def test_rejects_bad_vectors(self):
         with pytest.raises(InvalidDistance):
             DistanceSpec(())
@@ -61,22 +67,22 @@ class TestDistanceSpec:
 
 class TestDirectSeriesFixedDiff:
     def test_difference_one_counts_nondivisors(self):
-        series = direct_series_fixed_diff(1, 6)
+        series = direct_series_specified((1,), 6)
         assert series.coeffs == (0, 0, 0, 1, 1, 3, 2)
         for n in range(1, 7):
             assert series[n] == n - divisor_count(n)
 
     def test_difference_two_prefix(self):
-        assert direct_series_fixed_diff(2, 8).coeffs == (0, 0, 0, 0, 1, 1, 3, 3, 6)
+        assert direct_series_specified((2,), 8).coeffs == (0, 0, 0, 0, 1, 1, 3, 3, 6)
 
     def test_minimal_weight_vanishing(self):
-        series = direct_series_fixed_diff(5, 7)
+        series = direct_series_specified((5,), 7)
         assert series.coeffs[:7] == (0,) * 7
         assert series[7] == 1  # the partition 1 + 6
 
     def test_rejects_zero_difference(self):
-        with pytest.raises(InvalidDifference):
-            direct_series_fixed_diff(0, 10)
+        with pytest.raises(InvalidDistance):
+            direct_series_specified((0,), 10)
 
 
 class TestClosedFormFixedDiff:
@@ -92,7 +98,7 @@ class TestClosedFormFixedDiff:
 
     @pytest.mark.parametrize("t", range(2, 9))
     def test_matches_direct_series(self, t):
-        assert closed_form_fixed_diff(t).expand(100) == direct_series_fixed_diff(t, 100)
+        assert closed_form_fixed_diff(t).expand(100) == direct_series_specified((t,), 100)
 
     @pytest.mark.parametrize("t", range(2, 7))
     def test_matches_enumeration(self, t):
@@ -105,6 +111,20 @@ class TestClosedFormFixedDiff:
             closed_form_fixed_diff(t)
 
 
+class TestSeriesDispatch:
+    @pytest.mark.parametrize("distances", [(1,), (2,), (5,), (1, 1), (2, 2), (1, 1, 1), (1, 2, 1)])
+    def test_matches_counting_table(self, distances):
+        assert list(series(distances, 70).coeffs) == specified_table(distances, 70)
+
+    def test_closed_form_route_where_rational(self, monkeypatch):
+        monkeypatch.setattr(genfun, "direct_series_specified", None)
+        assert series((3,), 20) == closed_form_fixed_diff(3).expand(20)
+
+    def test_direct_route_below_the_threshold(self, monkeypatch):
+        monkeypatch.setattr(genfun, "closed_form_specified", None)
+        assert series((1, 1), 20) == direct_series_specified((1, 1), 20)
+
+
 class TestDirectSeriesSpecified:
     def test_two_two_prefix(self):
         # q^9..q^13 coefficients, frozen from raw enumeration
@@ -113,7 +133,7 @@ class TestDirectSeriesSpecified:
 
     @pytest.mark.parametrize("t", range(1, 6))
     def test_single_distance_reduces(self, t):
-        assert direct_series_specified(DistanceSpec((t,)), 60) == direct_series_fixed_diff(t, 60)
+        assert list(direct_series_specified(DistanceSpec((t,)), 60).coeffs) == fixed_diff_table(t, 60)
 
     def test_low_order_vanishing(self):
         series = direct_series_specified(DistanceSpec((1, 1)), 5)

@@ -13,7 +13,6 @@ from partition_gf.qseries import (
     FactoredRational,
     IntPolynomial,
     TruncatedSeries,
-    expand_factored,
     gauss_binomial,
     gauss_binomial_pascal,
     geometric_inverse,
@@ -203,6 +202,19 @@ class TestPochhammer:
         # (1-q^3)(1-q^4) = 1 - q^3 - q^4 + q^7
         assert pochhammer_shifted(3, 2) == P(1, 0, 0, -1, -1, 0, 0, 1)
 
+    @pytest.mark.parametrize("a", [1, 2, 5])
+    def test_shifted_matches_factor_by_factor_product(self, a):
+        product = P(1)
+        for m in range(12):
+            assert pochhammer_shifted(a, m) == product
+            product = poly_mul(product, IntPolynomial.one_minus_q_power(a + m))
+
+    def test_negative_factor_count_rejected(self):
+        with pytest.raises(ValueError):
+            pochhammer_q(-1)
+        with pytest.raises(ValueError):
+            pochhammer_shifted(2, -1)
+
     def test_infinite_beyond_order_is_one(self):
         assert pochhammer_infinite(9, 5) == TruncatedSeries.one(5)
 
@@ -295,7 +307,7 @@ class TestFactoredRational:
 
     def test_expand_factored_function(self):
         fr = FactoredRational(P(1), [(2, 1)])
-        assert expand_factored(fr, 5) == geometric_inverse(2, 5)
+        assert fr.expand(5) == geometric_inverse(2, 5)
 
     def test_invalid_denominator(self):
         with pytest.raises(InvalidExponent):

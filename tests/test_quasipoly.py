@@ -303,3 +303,51 @@ def test_fit_output_matches_golden(distances):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert main(["fit", "--distances", distances]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == FIT_GOLDEN[distances]
+
+# sha256 of the stdout of the commands that pick a counting or series route,
+# captured before the fixed-difference routes were folded into the
+# one-distance spec (t,).
+CLI_GOLDEN = {
+    ("compute", "--n", "97", "--distances", "0", "--method", "all"):
+        "3908da262e19c663b8a7d1b80235945775130b0ff5ceb714d4f1623fca1687a3",
+    ("compute", "--n", "97", "--distances", "1", "--method", "all"):
+        "7a95a5c8b8188a2f1a7c6ce473bc9d7877531b3c617bcdc1a0f36fbba0d8bb42",
+    ("compute", "--n", "97", "--distances", "2", "--method", "all"):
+        "6c1dc1cc02dbdd7c14821601e4919c92407b7dfdb2e79a9cc4405a50aad5b0cf",
+    ("compute", "--n", "97", "--distances", "3", "--method", "all"):
+        "f23c0397f835375e1a04e4069bbe0558ab0856c2abb2b410d8a9fe0217c6904b",
+    ("compute", "--n", "97", "--distances", "5", "--method", "all"):
+        "dc63e1f1d24bc3c95bec4de0cbca59728d2630722dbc2293a072192ffb2bb07d",
+    ("compute", "--n", "97", "--distances", "1,1", "--method", "all"):
+        "7b2661df511552f393083f67124cbbce515110e8907fd6c032fe9c261a2c5fb6",
+    ("compute", "--n", "97", "--distances", "2,2", "--method", "all"):
+        "3e41988f9520836e05c80f0b67b59c612c4a32b54fb9761ec4f0181bb96a9040",
+    ("compute", "--n", "97", "--distances", "1,5,1", "--method", "all"):
+        "29d263d0fa09cd7d991c9d23a7f2aa1a0b9c8ec3e50aadfec5642422be9fa3a1",
+    ("compute", "--n", "97", "--distances", "2,4", "--method", "all"):
+        "c1abc89a868fa72ea011a1d8f9a6a3d3d527308120b54afd376e8e80b85e5312",
+    ("series", "--distances", "1", "--order", "120"):
+        "6daa21a6b17bbcf41b9430f747ff208995141841cf24b77715cce667c08ef802",
+    ("series", "--distances", "2", "--order", "120"):
+        "07577088d0bc605701d7016d816eab88ec200d6898280e5dae8e7446cc9bd4b2",
+    ("series", "--distances", "3", "--order", "120"):
+        "e08b2ed9451c436131f7f1bee07bfc5c769762a82414478b43158681f3f0b92f",
+    ("series", "--distances", "6", "--order", "120"):
+        "0e78754509402b498d4b9450320e3111442b6abed7267daa07e3d4149bc60365",
+    ("series", "--distances", "1,1", "--order", "120"):
+        "a97ce549720b3127fe1ef00160eaa912fc2217c64119d0493be4080bb5e74c12",
+    ("series", "--distances", "2,2", "--order", "120"):
+        "b81fe6f3c9944a4ced08ce111286ce500150af0d17ef809ab1f90dca2756a856",
+    ("series", "--distances", "1,2,1", "--order", "120"):
+        "a289e8e6d1aceab1238f022b9668eb9b218c35be7e2dfec62b2260826b16e779",
+    ("verify", "--suite", "routes", "--t-max", "8", "--n-max", "150"):
+        "862c0d26454208734483ca2e34141038d368b21bfce2ee908bfa43686444b77d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_GOLDEN), ids=" ".join)
+def test_cli_output_matches_golden(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(list(argv)) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CLI_GOLDEN[argv]
