@@ -31,13 +31,21 @@ from .errors import CalibrationError, EmptyOverlap, NetworkError, NotFound, Pars
 _ID_PATTERN = re.compile(r"^A(\d+)$")
 
 # Sequences the package knows how to regenerate and calibrate locally.
-KNOWN_SEQUENCES: dict[str, tuple[str, Callable[[int], int], int]] = {
-    # id: (description, oracle n -> value, first n the oracle covers)
-    "A000005": ("divisor counts d(n)", counting.divisor_count, 1),
-    "A049820": ("nondivisor counts n - d(n)", lambda n: n - counting.divisor_count(n), 1),
-    "A008805": ("difference-2 partition counts", lambda n: counting.count_fixed_diff(n, 2), 4),
-    "A128508": ("difference-3 partition counts", lambda n: counting.count_fixed_diff(n, 3), 5),
+# Each oracle builds one counting table: n_max -> values at n = 0..n_max.
+KNOWN_SEQUENCES: dict[str, tuple[str, Callable[[int], list[int]], int]] = {
+    # id: (description, oracle n_max -> values, first n the oracle covers)
+    "A000005": ("divisor counts d(n)", lambda n_max: counting.fixed_diff_table(0, n_max), 1),
+    "A049820": (
+        "nondivisor counts n - d(n)",
+        lambda n_max: [n - d for n, d in enumerate(counting.fixed_diff_table(0, n_max))],
+        1,
+    ),
+    "A008805": ("difference-2 partition counts", lambda n_max: counting.fixed_diff_table(2, n_max), 4),
+    "A128508": ("difference-3 partition counts", lambda n_max: counting.fixed_diff_table(3, n_max), 5),
 }
+
+# Calibration matches the oracle's values at n <= CALIBRATION_N_MAX.
+CALIBRATION_N_MAX = 50
 
 # Index written for the first oracle n when regenerating a fixture locally
 # (the real OEIS offsets: A008805 starts at index 0 with its n=4 value).
@@ -145,33 +153,29 @@ def calibrate_offset(
     if not reference:
         raise CalibrationError("reference values are empty")
     ns = sorted(reference)
-    indices = [i for i, _ in fixture.entries]
+    by_index = fixture._by_index
     best: tuple[int, int] | None = None  # (matches, -|offset|) winner
     best_offset = None
-    for offset in range(indices[0] - ns[-1], indices[-1] - ns[0] + 1):
-        candidate = fixture.with_offset(offset)
+    for offset in range(fixture.entries[0][0] - ns[-1], fixture.entries[-1][0] - ns[0] + 1):
         run = 0
         longest = 0
         total = 0
-        overlap = 0
-        ok = True
         for n in ns:
-            if not candidate.covers(n):
+            value = by_index.get(n + offset)
+            if value is None:
                 run = 0
                 continue
-            overlap += 1
-            if candidate.value_for(n) == reference[n]:
-                run += 1
-                total += 1
-                longest = max(longest, run)
-            else:
-                ok = False
+            if value != reference[n]:
                 break
-        if ok and overlap > 0 and longest >= min_matches:
-            score = (total, -abs(offset))
-            if best is None or score > best:
-                best = score
-                best_offset = offset
+            run += 1
+            total += 1
+            longest = max(longest, run)
+        else:  # no disagreement anywhere in the overlap
+            if total > 0 and longest >= min_matches:
+                score = (total, -abs(offset))
+                if best is None or score > best:
+                    best = score
+                    best_offset = offset
     if best_offset is None:
         raise CalibrationError(
             f"{fixture.id}: no offset aligns >= {min_matches} consecutive values "
@@ -180,18 +184,24 @@ def calibrate_offset(
     return fixture.with_offset(best_offset)
 
 
-def load_calibrated(
-    sequence_id: str,
-    fixtures_dir: str | Path | None = None,
-    n_max: int = 50,
-) -> SequenceFixture:
-    """Load a known fixture and calibrate its offset against the oracle."""
+def oracle_values(sequence_id: str, n_max: int) -> dict[int, int]:
+    """The local oracle's values {n: value} for n = n_start..n_max, read
+    from one counting table."""
     if sequence_id not in KNOWN_SEQUENCES:
         raise NotFound(f"no local oracle registered for {sequence_id}")
     _, oracle, n_start = KNOWN_SEQUENCES[sequence_id]
-    fixture = load_fixture(sequence_id, fixtures_dir)
-    reference = {n: oracle(n) for n in range(n_start, n_max + 1)}
-    return calibrate_offset(fixture, reference)
+    table = oracle(n_max)
+    return {n: table[n] for n in range(n_start, n_max + 1)}
+
+
+def load_calibrated(
+    sequence_id: str,
+    fixtures_dir: str | Path | None = None,
+    n_max: int = CALIBRATION_N_MAX,
+) -> SequenceFixture:
+    """Load a known fixture and calibrate its offset against the oracle."""
+    reference = oracle_values(sequence_id, n_max)
+    return calibrate_offset(load_fixture(sequence_id, fixtures_dir), reference)
 
 
 @dataclass(frozen=True)
@@ -225,6 +235,31 @@ def cross_check(fixture: SequenceFixture, computed: Mapping[int, int]) -> CrossC
             f"{fixture.id}: computed range does not meet the fixture's indices"
         )
     return CrossCheckReport(fixture.id, checked, tuple(mismatches))
+
+
+def cross_check_known(
+    sequence_id: str, fixtures_dir: str | Path | None, n_max: int
+) -> tuple[CrossCheckReport, int]:
+    """Calibrate a known fixture and cross-check it on n_start..n_max, both
+    against one oracle table.
+
+    Calibration reads the table's n <= CALIBRATION_N_MAX values.  A calibrated
+    offset aligns some such n, so it is at least the first index minus
+    CALIBRATION_N_MAX, and the table stops where no offset could still reach
+    the fixture.  Returns the report and the last n the calibrated fixture
+    covers.
+    """
+    if sequence_id not in KNOWN_SEQUENCES:
+        raise NotFound(f"no local oracle registered for {sequence_id}")
+    fixture = load_fixture(sequence_id, fixtures_dir)
+    first, last = fixture.entries[0][0], fixture.entries[-1][0]
+    reach = last - first + CALIBRATION_N_MAX
+    values = oracle_values(sequence_id, max(CALIBRATION_N_MAX, min(n_max, reach)))
+    fixture = calibrate_offset(
+        fixture, {n: v for n, v in values.items() if n <= CALIBRATION_N_MAX}
+    )
+    report = cross_check(fixture, {n: v for n, v in values.items() if n <= n_max})
+    return report, last - fixture.offset
 
 
 def fetch_remote(
@@ -269,15 +304,14 @@ def write_local_fixture(
     Used to ship offline fixtures; the file records its provenance in a
     comment so it is never mistaken for a download.
     """
-    if sequence_id not in KNOWN_SEQUENCES:
-        raise NotFound(f"no local oracle registered for {sequence_id}")
-    description, oracle, n_start = KNOWN_SEQUENCES[sequence_id]
+    values = oracle_values(sequence_id, n_max)
+    description = KNOWN_SEQUENCES[sequence_id][0]
     offset = _GENERATION_OFFSETS[sequence_id]
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / bfile_name(sequence_id)
     lines = [f"# {sequence_id}: {description}, generated locally by partition_gf"]
-    for n in range(n_start, n_max + 1):
-        lines.append(f"{n + offset} {oracle(n)}")
+    for n, value in values.items():
+        lines.append(f"{n + offset} {value}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

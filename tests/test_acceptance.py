@@ -143,9 +143,8 @@ def test_criterion_9_row_sums():
 
 def test_criterion_10_oeis_fixtures():
     for sequence_id in sorted(oeis.KNOWN_SEQUENCES):
-        _, oracle, n_start = oeis.KNOWN_SEQUENCES[sequence_id]
         fixture = oeis.load_calibrated(sequence_id)
-        computed = {n: oracle(n) for n in range(n_start, 401)}
+        computed = oeis.oracle_values(sequence_id, 400)
         report = oeis.cross_check(fixture, computed)
         assert report.ok, report.summary()
         assert report.checked >= 390

@@ -278,6 +278,25 @@ class TestOeisCommand:
         code, _, _ = run(capsys, "oeis", "--id", "A999999")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_n_max_below_one_is_usage_error(self, capsys, n_max):
+        code, out, err = run(capsys, "oeis", "--n-max", n_max)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"--n-max must be >= 1, got {n_max}" in err
+
+    def test_clip_is_noted_on_stderr_only(self, capsys):
+        code, out, err = run(capsys, "oeis", "--id", "A128508", "--n-max", "1200")
+        assert code == EXIT_OK
+        assert out == "A128508: 396 values compared, pass\n"
+        assert err == "note: A128508: n-max 1200 clipped to 400, the last n the fixture covers\n"
+        code, out, err = run(capsys, "oeis", "--id", "A128508", "--n-max", "400")
+        assert (code, out, err) == (EXIT_OK, "A128508: 396 values compared, pass\n", "")
+        code, out, err = run(capsys, "verify", "--suite", "oeis", "--n-max", "1000")
+        assert code == EXIT_OK
+        assert out.endswith("4/4 checks passed\n")
+        assert err.count("n-max 1000 clipped to 400") == 4
+
     def test_fetch_requires_endpoint(self, capsys):
         code, _, _ = run(capsys, "oeis", "--id", "A000005", "--fetch")
         assert code == EXIT_USAGE

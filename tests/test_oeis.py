@@ -67,6 +67,45 @@ class TestLoadFixture:
         assert len(fixture.entries) == 30
 
 
+PER_N = {
+    "A000005": counting.divisor_count,
+    "A049820": lambda n: n - counting.divisor_count(n),
+    "A008805": lambda n: counting.count_fixed_diff(n, 2),
+    "A128508": lambda n: counting.count_fixed_diff(n, 3),
+}
+
+
+class TestOracles:
+    @pytest.mark.parametrize("sequence_id", SHIPPED)
+    def test_table_matches_per_n_definition(self, sequence_id):
+        _, oracle, n_start = oeis.KNOWN_SEQUENCES[sequence_id]
+        table = oracle(200)
+        assert len(table) == 201
+        assert table[n_start:] == [PER_N[sequence_id](n) for n in range(n_start, 201)]
+
+    def test_oracle_values_cover_n_start_to_n_max(self):
+        values = oeis.oracle_values("A128508", 30)
+        assert list(values) == list(range(5, 31))
+        assert values[12] == counting.count_fixed_diff(12, 3)
+        assert oeis.oracle_values("A128508", 4) == {}
+
+    def test_unknown_sequence(self):
+        with pytest.raises(NotFound):
+            oeis.oracle_values("A999999", 10)
+
+
+class TestCrossCheckKnown:
+    def test_reports_the_last_covered_n(self):
+        report, last_n = oeis.cross_check_known("A008805", None, 1200)
+        assert report.ok and report.checked == 397
+        assert last_n == 400
+
+    def test_short_fixture_clips_the_range(self, tmp_path):
+        oeis.write_local_fixture("A128508", tmp_path, n_max=80)
+        report, last_n = oeis.cross_check_known("A128508", tmp_path, 300)
+        assert (report.checked, last_n) == (76, 80)
+
+
 class TestCalibration:
     def test_divisor_fixture_aligns_at_zero(self):
         fixture = oeis.load_calibrated("A000005")
@@ -83,13 +122,40 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             oeis.calibrate_offset(fixture, {n: n * n for n in range(1, 20)}, min_matches=3)
 
+    @staticmethod
+    def _blocks(*blocks):
+        # Each (offset, ns) block holds fixture[n + offset] = n for n in ns.
+        entries = sorted((n + offset, n) for offset, ns in blocks for n in ns)
+        return oeis.SequenceFixture("A000005", tuple(entries))
+
+    def test_more_matches_wins_over_smaller_offset(self):
+        fixture = self._blocks((-1, range(1, 13)), (999, range(1, 21)))
+        calibrated = oeis.calibrate_offset(fixture, {n: n for n in range(1, 31)})
+        assert calibrated.offset == 999
+        assert calibrated.entries == fixture.entries
+
+    def test_equal_matches_smaller_offset_wins(self):
+        # The |offset| = 40 candidate is scanned first; the tie still goes to 5.
+        fixture = self._blocks((-40, range(41, 53)), (5, range(41, 53)))
+        calibrated = oeis.calibrate_offset(fixture, {n: n for n in range(41, 61)})
+        assert calibrated.offset == 5
+
+    def test_one_disagreement_rejects_a_long_run(self):
+        entries = [(i, 999 if i == 25 else i) for i in range(1, 31)]
+        entries += [(n + 199, n) for n in range(1, 13)]
+        fixture = oeis.SequenceFixture("A000005", tuple(entries))
+        reference = {n: n for n in range(1, 31)}
+        assert oeis.calibrate_offset(fixture, reference).offset == 199
+        alone = oeis.SequenceFixture("A000005", tuple(entries[:30]))
+        with pytest.raises(CalibrationError):
+            oeis.calibrate_offset(alone, reference)
+
 
 class TestCrossCheck:
     @pytest.mark.parametrize("sequence_id", SHIPPED)
     def test_shipped_fixtures_match_oracle(self, sequence_id):
-        _, oracle, n_start = oeis.KNOWN_SEQUENCES[sequence_id]
         fixture = oeis.load_calibrated(sequence_id)
-        computed = {n: oracle(n) for n in range(n_start, 201)}
+        computed = oeis.oracle_values(sequence_id, 200)
         report = oeis.cross_check(fixture, computed)
         assert report.ok
         assert report.checked >= 190
