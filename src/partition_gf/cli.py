@@ -8,14 +8,15 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import counting, genfun, oeis, quasipoly
 from .counting import DistanceSpec
-from .errors import NetworkError, NotFound, OutOfRange, ParseError, PartitionGFError
+from .errors import NetworkError, NotFound, OutOfRange, PartitionGFError, PeriodTooLarge
 from .qseries import pochhammer_q
 
 EXIT_OK = 0
@@ -37,14 +38,6 @@ class OutputRecord:
     distances: tuple[int, ...]
     method: str
     value: str
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "distances": list(self.distances),
-            "method": self.method,
-            "value": self.value,
-        }
 
 
 def parse_distances(text: str) -> tuple[int, ...] | None:
@@ -84,7 +77,7 @@ def _compute_record(n: int, distances: tuple[int, ...] | None, method: str) -> O
 
 def _emit_records(records: list[OutputRecord], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps([r.as_dict() for r in records], indent=2))
+        print(json.dumps([asdict(r) for r in records], indent=2))
     elif fmt == "csv":
         print("n,distances,method,value")
         for r in records:
@@ -103,8 +96,15 @@ def cmd_compute(args) -> int:
     applicable = ["enumerate"]
     if distances is not None:
         applicable.append("series")
-        if DistanceSpec(distances).has_closed_form:
-            applicable.append("quasipoly")
+        spec = DistanceSpec(distances)
+        if spec.has_closed_form:
+            try:
+                quasipoly.required_order(spec)
+            except PeriodTooLarge:
+                if args.method == "quasipoly":
+                    raise
+            else:
+                applicable.append("quasipoly")
     if args.method == "all":
         methods = applicable
     elif args.method in applicable:
@@ -171,8 +171,6 @@ def cmd_fit(args) -> int:
 
 
 def _specified_grid(max_k: int = 3, max_distance: int = 4):
-    import itertools
-
     for k in range(2, max_k + 1):
         for distances in itertools.product(range(1, max_distance + 1), repeat=k):
             if sum(distances) > k:
@@ -240,7 +238,7 @@ def _check_oeis(fixtures_dir, n_max: int) -> list[tuple[str, bool, str]]:
             _note_clip(sequence_id, n_max, last_n)
             detail = "" if report.ok else report.summary()
             results.append((f"oeis/{sequence_id}", report.ok, detail))
-        except (NotFound, ParseError, PartitionGFError) as exc:
+        except PartitionGFError as exc:
             results.append((f"oeis/{sequence_id}", False, str(exc)))
     return results
 
@@ -253,6 +251,8 @@ def cmd_verify(args) -> int:
     ):
         if value < least:
             raise UsageError(f"{option} must be >= {least}, got {value}")
+    if args.suite in ("asymptotics", "all"):
+        quasipoly.required_order((args.t_max,))  # the period cap, before any suite runs
     suites = {
         "routes": lambda: _check_routes([(t,) for t in range(2, args.t_max + 1)], args.n_max)
         + _check_routes(_specified_grid(), min(args.n_max, 120)),
@@ -303,16 +303,17 @@ def build_parser() -> argparse.ArgumentParser:
         "difference or specified milestone distances, via mutually "
         "verifying enumeration, series, and quasipolynomial routes.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    common.add_argument(
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=["text", "csv", "json"], default="text")
+    fixtures = argparse.ArgumentParser(add_help=False)
+    fixtures.add_argument(
         "--fixtures-dir",
         default=None,
         help="fixture directory (default: $PARTITION_GF_FIXTURES or packaged data)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", parents=[common], help="count partitions for one n")
+    p = sub.add_parser("compute", parents=[formatted], help="count partitions for one n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--distances", required=True, help="comma-separated, e.g. 2,2 (or 0 alone)")
     p.add_argument(
@@ -320,12 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("series", parents=[common], help="emit coefficients 0..N")
+    p = sub.add_parser("series", parents=[formatted], help="emit coefficients 0..N")
     p.add_argument("--distances", required=True)
     p.add_argument("--order", type=int, required=True)
     p.set_defaults(func=cmd_series)
 
-    p = sub.add_parser("verify", parents=[common], help="run invariant suites")
+    p = sub.add_parser("verify", parents=[fixtures], help="run invariant suites")
     p.add_argument(
         "--suite",
         choices=["routes", "identities", "asymptotics", "oeis", "all"],
@@ -336,13 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=60)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("fit", parents=[common], help="fit and emit a quasipolynomial")
+    p = sub.add_parser("fit", help="fit and emit a quasipolynomial")
     p.add_argument("--distances", required=True)
     p.add_argument("--order", type=int, default=None, help="expansion order (default: auto)")
     p.add_argument("--output", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("oeis", parents=[common], help="cross-check fixtures offline or fetch")
+    p = sub.add_parser("oeis", parents=[fixtures], help="cross-check fixtures offline or fetch")
     p.add_argument("--id", action="append", help="sequence id, repeatable (default: all known)")
     p.add_argument("--n-max", type=int, default=400)
     p.add_argument("--fetch", action="store_true", help="refresh the fixture from --endpoint")
@@ -357,7 +358,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, PeriodTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NotFound, NetworkError, OSError) as exc:

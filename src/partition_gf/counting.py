@@ -30,12 +30,7 @@ def total_partition_count(n: int) -> int:
     """The unrestricted partition number p(n); p(0) = 1."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    ways = [0] * (n + 1)
-    ways[0] = 1
-    for part in range(1, n + 1):
-        for j in range(part, n + 1):
-            ways[j] += ways[j - part]
-    return ways[n]
+    return _multiset_sums(range(1, n + 1), n)[n]
 
 
 def _multiset_sums(parts: Sequence[int], total: int) -> list[int]:

@@ -33,6 +33,10 @@ class OutOfRange(PartitionGFError):
     """Arguments violate a theorem hypothesis (e.g. total distance t <= k)."""
 
 
+class PeriodTooLarge(PartitionGFError):
+    """A quasipolynomial period lcm(1..t) exceeds the supported cap."""
+
+
 class CutoffTooSmall(PartitionGFError):
     """A term cutoff omits terms that still contribute below the order."""
 

@@ -8,9 +8,9 @@ the package.  Tests never need the network; fetch_remote exists for
 refreshing caches from a live endpoint.
 
 OEIS index conventions drift relative to the counting functions (A008805 is
-shifted by 4 against the difference-2 counts), so every fixture's affine
-index map (index = n + b) is calibrated by matching a run of consecutive
-values against the local oracle instead of being hard-coded.
+shifted by 4 against the difference-2 counts), so every fixture's offset
+(index = n + offset) is calibrated by matching a run of consecutive values
+against the local oracle instead of being hard-coded.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import re
 import tempfile
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Mapping
@@ -54,44 +54,27 @@ _GENERATION_OFFSETS = {"A000005": 0, "A049820": 0, "A008805": -4, "A128508": 0}
 
 @dataclass(frozen=True)
 class SequenceFixture:
-    """An (index, value) table plus the affine map index = n + offset.
-
-    The stride slot of offset_map is reserved and fixed at 1.
-    """
+    """An (index, value) table whose value for counting argument n sits at
+    index n + offset."""
 
     id: str
     entries: tuple[tuple[int, int], ...]
-    offset_map: tuple[int, int] = (1, 0)
+    offset: int = 0
 
-    _by_index: dict = field(default_factory=dict, repr=False, compare=False)
+    _by_index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.offset_map[0] != 1:
-            raise ValueError("offset_map stride is reserved and must be 1")
         indices = [i for i, _ in self.entries]
         if any(b <= a for a, b in zip(indices, indices[1:])):
             raise ParseError(f"{self.id}: indices must be strictly increasing")
-        self._by_index.update(dict(self.entries))
-
-    @property
-    def offset(self) -> int:
-        return self.offset_map[1]
-
-    def index_for(self, n: int) -> int:
-        return n + self.offset
+        object.__setattr__(self, "_by_index", dict(self.entries))
 
     def value_for(self, n: int) -> int:
-        """Value at counting argument n, through the calibrated index map."""
-        index = self.index_for(n)
+        """Value at counting argument n, read at index n + offset."""
+        index = n + self.offset
         if index not in self._by_index:
             raise KeyError(f"{self.id} has no entry at index {index} (n={n})")
         return self._by_index[index]
-
-    def covers(self, n: int) -> bool:
-        return self.index_for(n) in self._by_index
-
-    def with_offset(self, offset: int) -> SequenceFixture:
-        return SequenceFixture(self.id, self.entries, (1, offset))
 
 
 def bfile_name(sequence_id: str) -> str:
@@ -181,7 +164,7 @@ def calibrate_offset(
             f"{fixture.id}: no offset aligns >= {min_matches} consecutive values "
             "with the reference"
         )
-    return fixture.with_offset(best_offset)
+    return replace(fixture, offset=best_offset)
 
 
 def oracle_values(sequence_id: str, n_max: int) -> dict[int, int]:
@@ -192,16 +175,6 @@ def oracle_values(sequence_id: str, n_max: int) -> dict[int, int]:
     _, oracle, n_start = KNOWN_SEQUENCES[sequence_id]
     table = oracle(n_max)
     return {n: table[n] for n in range(n_start, n_max + 1)}
-
-
-def load_calibrated(
-    sequence_id: str,
-    fixtures_dir: str | Path | None = None,
-    n_max: int = CALIBRATION_N_MAX,
-) -> SequenceFixture:
-    """Load a known fixture and calibrate its offset against the oracle."""
-    reference = oracle_values(sequence_id, n_max)
-    return calibrate_offset(load_fixture(sequence_id, fixtures_dir), reference)
 
 
 @dataclass(frozen=True)
@@ -224,10 +197,10 @@ def cross_check(fixture: SequenceFixture, computed: Mapping[int, int]) -> CrossC
     mismatches = []
     checked = 0
     for n in sorted(computed):
-        if not fixture.covers(n):
+        expected = fixture._by_index.get(n + fixture.offset)
+        if expected is None:
             continue
         checked += 1
-        expected = fixture.value_for(n)
         if expected != computed[n]:
             mismatches.append((n, expected, computed[n]))
     if checked == 0:

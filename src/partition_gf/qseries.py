@@ -17,7 +17,7 @@ All values are immutable and all functions are pure.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import (
     ExactDivisionError,
@@ -100,7 +100,9 @@ class IntPolynomial:
         return IntPolynomial([factor * c for c in self.coeffs])
 
     def shift(self, exponent: int) -> IntPolynomial:
-        """Multiply by q^exponent."""
+        """Multiply by q^exponent, exponent >= 0."""
+        if exponent < 0:
+            raise ValueError("shift exponent must be >= 0")
         if self.is_zero():
             return self
         return IntPolynomial((0,) * exponent + self.coeffs)
@@ -388,8 +390,7 @@ def gauss_binomial_pascal(top: int, bottom: int) -> IntPolynomial:
 
 def _normalize_denominator(denominator) -> tuple[tuple[int, int], ...]:
     merged: dict[int, int] = {}
-    items = denominator.items() if isinstance(denominator, Mapping) else denominator
-    for m, e in items:
+    for m, e in denominator:
         m, e = int(m), int(e)
         if m < 1:
             raise InvalidExponent(f"denominator exponent must be >= 1, got {m}")

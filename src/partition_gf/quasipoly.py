@@ -25,9 +25,14 @@ from .errors import (
     InternalMismatch,
     NonConstantLeading,
     OutOfRange,
+    PeriodTooLarge,
 )
 from .counting import _coerce_spec
 from .genfun import closed_form_specified
+
+# The largest period fitted, lcm(1..12).  At t = 13 the period is 360360 and
+# the expansion order about 5.0M.
+MAX_PERIOD = 27720
 
 
 @dataclass(frozen=True)
@@ -150,9 +155,19 @@ def fit(values: Mapping[int, int], degree: int, period: int) -> QuasiPolynomial:
 
 
 def required_order(spec) -> int:
-    """The least order `from_closed_form` takes: t+1 samples per class."""
+    """The least order `from_closed_form` takes: t+1 samples per class.
+
+    Raises PeriodTooLarge when the period lcm(1..t) exceeds MAX_PERIOD.
+    """
     spec = _coerce_spec(spec)
-    return spec.min_weight + math.lcm(*range(1, spec.total + 1)) * (spec.total + 1)
+    t = spec.total
+    period = math.lcm(*range(1, t + 1))
+    if period > MAX_PERIOD:
+        raise PeriodTooLarge(
+            f"t={t} needs quasipolynomial period lcm(1..{t}) = {period}, "
+            f"above the cap {MAX_PERIOD} = lcm(1..12)"
+        )
+    return spec.min_weight + period * (t + 1)
 
 
 def from_closed_form(spec, order: int) -> QuasiPolynomial:

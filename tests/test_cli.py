@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from partition_gf import counting, genfun
+from partition_gf import counting, genfun, quasipoly
 from partition_gf.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -263,6 +263,45 @@ class TestFit:
         assert "need >=" in err
 
 
+class TestPeriodCap:
+    """Above period lcm(1..12) every quasipolynomial route refuses before
+    expanding anything."""
+
+    @pytest.fixture(autouse=True)
+    def no_expansion(self, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("expanded a closed form above the period cap")
+
+        monkeypatch.setattr(quasipoly, "closed_form_specified", refuse)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fit", "--distances", "13"),
+            ("fit", "--distances", "6,7", "--order", "100"),
+            ("compute", "--n", "50", "--distances", "13", "--method", "quasipoly"),
+            ("verify", "--suite", "asymptotics", "--t-max", "13"),
+            ("verify", "--suite", "all", "--t-max", "13"),
+        ],
+    )
+    def test_refusal_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            "error: t=13 needs quasipolynomial period lcm(1..13) = 360360, "
+            "above the cap 27720 = lcm(1..12)\n"
+        )
+
+    def test_compute_all_drops_quasipoly(self, capsys):
+        code, out, _ = run(capsys, "compute", "--n", "50", "--distances", "13", "--method", "all")
+        assert code == EXIT_OK
+        assert out.splitlines() == [
+            "n=50 distances=13 method=enumerate value=14186",
+            "n=50 distances=13 method=series value=14186",
+        ]
+
+
 class TestOeisCommand:
     def test_offline_cross_check(self, capsys):
         code, out, _ = run(capsys, "oeis", "--id", "A000005", "--n-max", "120")
@@ -331,6 +370,11 @@ class TestOeisCommand:
         assert code == EXIT_VERIFY_FAIL
         assert "FAIL" in out
 
+    def test_verify_reads_the_fixtures_dir(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "verify", "--suite", "oeis", "--fixtures-dir", str(tmp_path))
+        assert code == EXIT_VERIFY_FAIL
+        assert f"FAIL oeis/A000005: no fixture for A000005 at {tmp_path}" in out
+
 
 class TestArgparseBehaviour:
     def test_unknown_subcommand_exits_two(self, capsys):
@@ -342,3 +386,21 @@ class TestArgparseBehaviour:
         with pytest.raises(SystemExit) as excinfo:
             main(["compute", "--n", "5", "--distances", "2", "--method", "magic"])
         assert excinfo.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("compute", "--n", "5", "--distances", "2", "--fixtures-dir", "."),
+            ("series", "--distances", "2", "--order", "5", "--fixtures-dir", "."),
+            ("fit", "--distances", "2", "--fixtures-dir", "."),
+            ("fit", "--distances", "2", "--format", "csv"),
+            ("verify", "--suite", "identities", "--format", "json"),
+            ("oeis", "--id", "A000005", "--format", "text"),
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_option_the_command_does_not_read_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err

@@ -18,6 +18,13 @@ from partition_gf.errors import (
 SHIPPED = sorted(oeis.KNOWN_SEQUENCES)
 
 
+def calibrated(sequence_id):
+    return oeis.calibrate_offset(
+        oeis.load_fixture(sequence_id),
+        oeis.oracle_values(sequence_id, oeis.CALIBRATION_N_MAX),
+    )
+
+
 class TestParseBFile:
     def test_well_formed(self):
         fixture = oeis.parse_bfile("1 1\n2 2\n3 2\n", "A000005")
@@ -108,12 +115,12 @@ class TestCrossCheckKnown:
 
 class TestCalibration:
     def test_divisor_fixture_aligns_at_zero(self):
-        fixture = oeis.load_calibrated("A000005")
+        fixture = calibrated("A000005")
         assert fixture.offset == 0
         assert fixture.value_for(12) == 6
 
     def test_difference_two_fixture_needs_shift(self):
-        fixture = oeis.load_calibrated("A008805")
+        fixture = calibrated("A008805")
         assert fixture.offset == -4
         assert fixture.value_for(8) == counting.count_fixed_diff(8, 2)
 
@@ -154,18 +161,18 @@ class TestCalibration:
 class TestCrossCheck:
     @pytest.mark.parametrize("sequence_id", SHIPPED)
     def test_shipped_fixtures_match_oracle(self, sequence_id):
-        fixture = oeis.load_calibrated(sequence_id)
+        fixture = calibrated(sequence_id)
         computed = oeis.oracle_values(sequence_id, 200)
         report = oeis.cross_check(fixture, computed)
         assert report.ok
         assert report.checked >= 190
 
     def test_corrupted_value_yields_single_mismatch(self):
-        fixture = oeis.load_calibrated("A000005")
+        fixture = calibrated("A000005")
         entries = list(fixture.entries)
         index = entries.index((40, counting.divisor_count(40)))
         entries[index] = (40, 999)
-        corrupted = oeis.SequenceFixture("A000005", tuple(entries), fixture.offset_map)
+        corrupted = oeis.SequenceFixture("A000005", tuple(entries), fixture.offset)
         computed = {n: counting.divisor_count(n) for n in range(1, 101)}
         report = oeis.cross_check(corrupted, computed)
         assert not report.ok

@@ -85,6 +85,14 @@ class TestIntPolynomial:
         assert P(1, -1).shift(3) == P(0, 0, 0, 1, -1)
         assert IntPolynomial.monomial(4) == P(0, 0, 0, 0, 1)
 
+    @pytest.mark.parametrize("poly", [P(1, -1), IntPolynomial()], ids=["nonzero", "zero"])
+    def test_negative_shift_rejected(self, poly):
+        assert poly.shift(0) == poly
+        with pytest.raises(ValueError):
+            poly.shift(-1)
+        with pytest.raises(ValueError):
+            IntPolynomial.monomial(-1)
+
     def test_evaluate(self):
         assert P(1, -2, 1).evaluate(3) == 4
 

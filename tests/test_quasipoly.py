@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from partition_gf import quasipoly
 from partition_gf.cli import main
 from partition_gf.counting import fixed_diff_table, specified_table
 from partition_gf.errors import (
@@ -17,9 +18,11 @@ from partition_gf.errors import (
     InsufficientSamples,
     NonConstantLeading,
     OutOfRange,
+    PeriodTooLarge,
 )
 from partition_gf.genfun import DistanceSpec, closed_form_fixed_diff, closed_form_specified
 from partition_gf.quasipoly import (
+    MAX_PERIOD,
     QuasiPolynomial,
     expected_leading,
     fit,
@@ -151,6 +154,20 @@ class TestFromClosedForm:
         # min_weight + lcm(1..t) * (t + 1)
         assert required_order(DistanceSpec((3,))) == 5 + 6 * 4
         assert required_order((2, 2)) == 9 + 12 * 5
+
+    def test_period_cap_refuses_before_expanding(self, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("expanded a closed form above the period cap")
+
+        monkeypatch.setattr(quasipoly, "closed_form_specified", refuse)
+        assert MAX_PERIOD == math.lcm(*range(1, 13))
+        spec = DistanceSpec((12,))
+        assert required_order(spec) == spec.min_weight + MAX_PERIOD * 13
+        for distances in [(13,), (6, 7), (1, 1, 11), (20,)]:
+            with pytest.raises(PeriodTooLarge, match="lcm.* = [0-9]+, above the cap 27720"):
+                required_order(distances)
+            with pytest.raises(PeriodTooLarge):
+                from_closed_form(distances, 10**7)
 
     @pytest.mark.parametrize("t", range(2, 7))
     def test_triple_agreement(self, t):
