@@ -16,7 +16,6 @@ the command line.
 """
 
 from .counting import (
-    count_fixed_diff,
     count_specified,
     divisor_count,
     fixed_diff_table,
@@ -37,7 +36,6 @@ from .qseries import (
     IntPolynomial,
     TruncatedSeries,
     gauss_binomial,
-    geometric_inverse,
     pochhammer_infinite,
     pochhammer_q,
     pochhammer_shifted,
@@ -58,7 +56,6 @@ from .quasipoly import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "count_fixed_diff",
     "count_specified",
     "divisor_count",
     "fixed_diff_table",
@@ -75,7 +72,6 @@ __all__ = [
     "IntPolynomial",
     "TruncatedSeries",
     "gauss_binomial",
-    "geometric_inverse",
     "pochhammer_infinite",
     "pochhammer_q",
     "pochhammer_shifted",

@@ -65,9 +65,7 @@ def _compute_record(n: int, distances: tuple[int, ...] | None, method: str) -> O
     elif method == "series":
         value = genfun.series(distances, n)[n]
     else:  # quasipoly
-        spec = DistanceSpec(distances)
-        qp = quasipoly.from_closed_form(spec, quasipoly.required_order(spec))
-        exact = qp.evaluate(n)
+        exact = quasipoly.from_closed_form(distances).evaluate(n)
         if exact.denominator != 1:
             raise PartitionGFError(f"quasipolynomial value at n={n} is not integral: {exact}")
         value = exact.numerator
@@ -145,10 +143,8 @@ def cmd_fit(args) -> int:
     distances = parse_distances(args.distances)
     if distances is None:
         raise UsageError("difference 0 has no quasipolynomial (the counts are divisor counts)")
-    spec = DistanceSpec(distances)
     try:
-        order = args.order if args.order is not None else quasipoly.required_order(spec)
-        qp = quasipoly.from_closed_form(spec, order)
+        qp = quasipoly.from_closed_form(distances, args.order)
     except OutOfRange as exc:
         raise UsageError(
             f"{exc}; below that threshold the generating function is not rational"
@@ -212,9 +208,7 @@ def _check_identities(t_max: int, order: int) -> list[tuple[str, bool, str]]:
 def _check_asymptotics(t_max: int) -> list[tuple[str, bool, str]]:
     results = []
     for t in range(2, t_max + 1):
-        spec = DistanceSpec((t,))
-        qp = quasipoly.from_closed_form(spec, quasipoly.required_order(spec))
-        got = qp.leading_coefficient()
+        got = quasipoly.from_closed_form((t,)).leading_coefficient()
         want = quasipoly.expected_leading(t)
         detail = "" if got == want else f"leading {got} != {want}"
         results.append((f"asymptotics/leading/t={t}", got == want, detail))
@@ -228,6 +222,19 @@ def _note_clip(sequence_id: str, n_max: int, last_n: int) -> None:
             "the last n the fixture covers",
             file=sys.stderr,
         )
+
+
+def _require_first_n(ids, n_max: int) -> None:
+    """Up front, before any output: every id is known and n_max reaches its
+    first n, so that no cross-check runs over an empty range."""
+    for sequence_id in ids:
+        if sequence_id not in oeis.KNOWN_SEQUENCES:
+            raise UsageError(f"unknown sequence id {sequence_id!r}")
+        first = oeis.KNOWN_SEQUENCES[sequence_id][2]
+        if n_max < first:
+            raise UsageError(
+                f"--n-max must be >= {first} for {sequence_id}, its first n, got {n_max}"
+            )
 
 
 def _check_oeis(fixtures_dir, n_max: int) -> list[tuple[str, bool, str]]:
@@ -253,6 +260,8 @@ def cmd_verify(args) -> int:
             raise UsageError(f"{option} must be >= {least}, got {value}")
     if args.suite in ("asymptotics", "all"):
         quasipoly.required_order((args.t_max,))  # the period cap, before any suite runs
+    if args.suite in ("oeis", "all"):
+        _require_first_n(sorted(oeis.KNOWN_SEQUENCES), args.n_max)
     suites = {
         "routes": lambda: _check_routes([(t,) for t in range(2, args.t_max + 1)], args.n_max)
         + _check_routes(_specified_grid(), min(args.n_max, 120)),
@@ -280,10 +289,9 @@ def cmd_oeis(args) -> int:
     if args.n_max < 1:
         raise UsageError(f"--n-max must be >= 1, got {args.n_max}")
     ids = args.id if args.id else sorted(oeis.KNOWN_SEQUENCES)
+    _require_first_n(ids, args.n_max)
     failures = 0
     for sequence_id in ids:
-        if sequence_id not in oeis.KNOWN_SEQUENCES:
-            raise UsageError(f"unknown sequence id {sequence_id!r}")
         if args.fetch:
             if not args.endpoint:
                 raise UsageError("--fetch requires --endpoint")

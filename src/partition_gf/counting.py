@@ -132,15 +132,6 @@ def specified_table(spec, n_max: int) -> list[int]:
     return counts
 
 
-def count_fixed_diff(n: int, t: int) -> int:
-    """# partitions of n whose largest part exceeds its smallest by exactly t."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if t == 0:
-        return divisor_count(n)
-    return fixed_diff_table(t, n)[n]
-
-
 def count_specified(n: int, spec) -> int:
     """# partitions of n realizing the milestone distances (see specified_table)."""
     if n < 1:

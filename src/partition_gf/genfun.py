@@ -96,11 +96,7 @@ def closed_form_specified(spec) -> FactoredRational:
     t, k, weighted = spec.total, spec.k, spec.weighted_total
     if not spec.has_closed_form:
         raise OutOfRange(f"closed form requires total distance > k, got t={t}, k={k}")
-    small_sum = IntPolynomial()
-    for j in range(k + 1):
-        part = gauss_binomial(t, j).shift(math.comb(j + 1, 2))
-        small_sum = small_sum + (part if j % 2 == 0 else -part)
-    core = small_sum - pochhammer_q(t)
+    core = _alternating_sum(t, range(k + 1)) - pochhammer_q(t)
     lead_exp = weighted - math.comb(k + 1, 2)  # >= 0 since each distance is >= 1
     numerator = core.shift(lead_exp)
     if k % 2 == 1:
@@ -132,8 +128,14 @@ def qbinomial_alternating_sum(t: int, j_min: int = 0) -> IntPolynomial:
         raise ValueError(f"t must be >= 0, got {t}")
     if not 0 <= j_min <= t + 1:
         raise ValueError(f"j_min must be in 0..{t + 1}, got {j_min}")
+    return _alternating_sum(t, range(j_min, t + 1))
+
+
+def _alternating_sum(t: int, js) -> IntPolynomial:
+    """sum_{j in js} [t,j] (-1)^j q^{C(j+1,2)}.  Private: perfbench times public
+    genfun functions, and the closed form's sum is not an identity check."""
     out = IntPolynomial()
-    for j in range(j_min, t + 1):
+    for j in js:
         part = gauss_binomial(t, j).shift(math.comb(j + 1, 2))
         out = out + (part if j % 2 == 0 else -part)
     return out

@@ -69,13 +69,6 @@ class SequenceFixture:
             raise ParseError(f"{self.id}: indices must be strictly increasing")
         object.__setattr__(self, "_by_index", dict(self.entries))
 
-    def value_for(self, n: int) -> int:
-        """Value at counting argument n, read at index n + offset."""
-        index = n + self.offset
-        if index not in self._by_index:
-            raise KeyError(f"{self.id} has no entry at index {index} (n={n})")
-        return self._by_index[index]
-
 
 def bfile_name(sequence_id: str) -> str:
     match = _ID_PATTERN.match(sequence_id)

@@ -96,9 +96,6 @@ class IntPolynomial:
     def __mul__(self, other: IntPolynomial) -> IntPolynomial:
         return poly_mul(self, other)
 
-    def scale(self, factor: int) -> IntPolynomial:
-        return IntPolynomial([factor * c for c in self.coeffs])
-
     def shift(self, exponent: int) -> IntPolynomial:
         """Multiply by q^exponent, exponent >= 0."""
         if exponent < 0:
@@ -106,12 +103,6 @@ class IntPolynomial:
         if self.is_zero():
             return self
         return IntPolynomial((0,) * exponent + self.coeffs)
-
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -191,18 +182,6 @@ class TruncatedSeries:
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
 
-    @classmethod
-    def from_polynomial(cls, poly: IntPolynomial, order: int) -> TruncatedSeries:
-        return cls([poly[i] for i in range(order + 1)])
-
-    @classmethod
-    def zero(cls, order: int) -> TruncatedSeries:
-        return cls([0] * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> TruncatedSeries:
-        return cls([1] + [0] * order)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -212,39 +191,12 @@ class TruncatedSeries:
             raise OrderTooLarge(f"coefficient {n} outside guaranteed range 0..{self.order}")
         return self.coeffs[n]
 
-    def truncate(self, order: int) -> TruncatedSeries:
-        if order > self.order:
-            raise OrderTooLarge(f"cannot extend order {self.order} to {order}")
-        return TruncatedSeries(self.coeffs[: order + 1])
-
-    def matches(self, other: TruncatedSeries, through: int | None = None) -> bool:
-        """Compare coefficients through an explicit order (default: min of both)."""
-        limit = min(self.order, other.order) if through is None else through
-        if limit > min(self.order, other.order):
-            raise OrderTooLarge(
-                f"comparison through {limit} exceeds orders {self.order}, {other.order}"
-            )
-        return self.coeffs[: limit + 1] == other.coeffs[: limit + 1]
-
     def __eq__(self, other: object) -> bool:
-        # Strict: same order and same coefficients.  Use matches() across orders.
+        # Strict: same order and same coefficients.
         return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(("TruncatedSeries", self.coeffs))
-
-    def __neg__(self) -> TruncatedSeries:
-        return TruncatedSeries([-c for c in self.coeffs])
-
-    def __add__(self, other: TruncatedSeries) -> TruncatedSeries:
-        n = min(self.order, other.order)
-        return TruncatedSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
-
-    def __sub__(self, other: TruncatedSeries) -> TruncatedSeries:
-        return self + (-other)
-
-    def __mul__(self, other: TruncatedSeries) -> TruncatedSeries:
-        return series_mul(self, other)
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:8])
@@ -306,16 +258,6 @@ def _multiply_by_one_minus_q_power(coeffs: list[int], m: int) -> None:
     """In place: multiply by (1 - q^m)."""
     for j in range(len(coeffs) - 1, m - 1, -1):
         coeffs[j] -= coeffs[j - m]
-
-
-def geometric_inverse(m: int, order: int) -> TruncatedSeries:
-    """Expansion of 1/(1-q^m): coefficient 1 exactly at multiples of m."""
-    if m < 1:
-        raise InvalidExponent(f"exponent must be >= 1, got {m}")
-    out = [0] * (order + 1)
-    for j in range(0, order + 1, m):
-        out[j] = 1
-    return TruncatedSeries(out)
 
 
 def pochhammer_q(m: int) -> IntPolynomial:
@@ -421,13 +363,6 @@ class FactoredRational:
             for _ in range(e):
                 _divide_by_one_minus_q_power(out, m)
         return TruncatedSeries(out)
-
-    def denominator_polynomial(self) -> IntPolynomial:
-        out = POLY_ONE
-        for m, e in self.denominator:
-            for _ in range(e):
-                out = out * IntPolynomial.one_minus_q_power(m)
-        return out
 
     def __mul__(self, other: FactoredRational) -> FactoredRational:
         return FactoredRational(

@@ -170,9 +170,10 @@ def required_order(spec) -> int:
     return spec.min_weight + period * (t + 1)
 
 
-def from_closed_form(spec, order: int) -> QuasiPolynomial:
-    """Expand the closed form for `spec` through q^order and fit a
-    quasipolynomial of degree t and period lcm(1..t).
+def from_closed_form(spec, order: int | None = None) -> QuasiPolynomial:
+    """Expand the closed form for `spec` through q^order (default
+    `required_order(spec)`) and fit a quasipolynomial of degree t and period
+    lcm(1..t).
 
     The fit consumes the earliest samples of each residue class and validates
     against every remaining coefficient up to `order`; a failure would falsify
@@ -184,7 +185,9 @@ def from_closed_form(spec, order: int) -> QuasiPolynomial:
         raise OutOfRange(f"no closed form for t={t}, k={k}; need t > k")
     period = math.lcm(*range(1, t + 1))
     required = required_order(spec)
-    if order < required:
+    if order is None:
+        order = required
+    elif order < required:
         raise ValueError(
             f"order {order} cannot feed {t + 1} samples to every residue class "
             f"mod {period}; need >= {required}"

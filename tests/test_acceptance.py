@@ -136,8 +136,9 @@ def test_criterion_9_row_sums():
             sums[n] += value
     for n in range(1, n_max + 1):
         assert sums[n] == counting.total_partition_count(n)
+    zero, one = counting.fixed_diff_table(0, 200), counting.fixed_diff_table(1, 200)
     for n in range(1, 201):
-        assert counting.count_fixed_diff(n, 0) + counting.count_fixed_diff(n, 1) == n
+        assert zero[n] + one[n] == n
     _report(9, "sum_t p(n,t) = p(n) for n <= 100; p(n,0) + p(n,1) = n for n <= 200")
 
 

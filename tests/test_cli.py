@@ -324,6 +324,27 @@ class TestOeisCommand:
         assert out == ""
         assert f"--n-max must be >= 1, got {n_max}" in err
 
+    @pytest.mark.parametrize(
+        "argv,sequence_id,first",
+        [
+            (["oeis", "--n-max", "4"], "A128508", 5),
+            (["oeis", "--id", "A008805", "--n-max", "3"], "A008805", 4),
+            (["verify", "--suite", "all", "--n-max", "3"], "A008805", 4),
+            (["verify", "--suite", "oeis", "--n-max", "4"], "A128508", 5),
+        ],
+    )
+    def test_n_max_below_first_n_is_usage_error(self, capsys, argv, sequence_id, first):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"--n-max must be >= {first} for {sequence_id}, its first n" in err
+
+    def test_n_max_at_first_n_passes(self, capsys):
+        code, out, _ = run(capsys, "oeis", "--id", "A128508", "--n-max", "5")
+        assert (code, out) == (EXIT_OK, "A128508: 1 values compared, pass\n")
+        code, _, _ = run(capsys, "verify", "--suite", "routes", "--n-max", "3")
+        assert code == EXIT_OK
+
     def test_clip_is_noted_on_stderr_only(self, capsys):
         code, out, err = run(capsys, "oeis", "--id", "A128508", "--n-max", "1200")
         assert code == EXIT_OK

@@ -5,7 +5,6 @@ import math
 import pytest
 
 from partition_gf.counting import (
-    count_fixed_diff,
     count_specified,
     divisor_count,
     fixed_diff_table,
@@ -54,31 +53,34 @@ class TestTotalPartitionCount:
         assert total_partition_count(50) == 204226
 
     def test_matches_row_sum_at_fifty(self):
-        assert sum(count_fixed_diff(50, t) for t in range(50)) == 204226
+        assert sum(fixed_diff_table(t, 50)[50] for t in range(50)) == 204226
 
 
 class TestCountFixedDiff:
     @pytest.mark.parametrize("t", sorted(RAW_FIXED))
     def test_matches_raw_enumeration(self, t):
         values = RAW_FIXED[t]
-        assert [count_fixed_diff(n, t) for n in range(1, len(values) + 1)] == values
+        assert [count_specified(n, (t,)) for n in range(1, len(values) + 1)] == values
 
     def test_difference_zero_counts_divisors(self):
-        assert count_fixed_diff(6, 0) == 4
+        table = fixed_diff_table(0, 200)
+        assert table[6] == 4
         for n in range(1, 201):
-            assert count_fixed_diff(n, 0) == divisor_count(n)
+            assert table[n] == divisor_count(n)
 
     def test_difference_one_counts_nondivisors(self):
-        assert count_fixed_diff(6, 1) == 2
+        table = fixed_diff_table(1, 200)
+        assert table[6] == 2
         for n in range(1, 201):
-            assert count_fixed_diff(n, 1) == n - divisor_count(n)
+            assert table[n] == n - divisor_count(n)
 
     def test_first_two_rows_sum_to_n(self):
+        zero, one = fixed_diff_table(0, 200), fixed_diff_table(1, 200)
         for n in range(1, 201):
-            assert count_fixed_diff(n, 0) + count_fixed_diff(n, 1) == n
+            assert zero[n] + one[n] == n
 
     def test_difference_two_is_floor_binomial(self):
-        assert count_fixed_diff(8, 2) == 6
+        assert count_specified(8, (2,)) == 6
         table = fixed_diff_table(2, 200)
         for n in range(1, 201):
             assert table[n] == math.comb(n // 2, 2)
@@ -94,15 +96,15 @@ class TestCountFixedDiff:
 
     def test_table_agrees_with_pointwise(self):
         table = fixed_diff_table(3, 40)
-        assert [count_fixed_diff(n, 3) for n in range(1, 41)] == table[1:]
+        assert [count_specified(n, (3,)) for n in range(1, 41)] == table[1:]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            count_fixed_diff(0, 2)
+            count_specified(0, (2,))
         with pytest.raises(ValueError):
             fixed_diff_table(-1, 10)
         with pytest.raises(ValueError):
-            count_fixed_diff(5, -1)
+            fixed_diff_table(-1, 5)
 
 
 class TestCountSpecified:
@@ -148,7 +150,7 @@ class TestCountSpecified:
 
 class TestQueryDispatch:
     def test_difference_zero(self):
-        assert count_fixed_diff(6, 0) == 4
+        assert fixed_diff_table(0, 6)[6] == 4
 
     def test_single_difference(self):
         assert count_specified(12, (3,)) == 14
@@ -158,6 +160,6 @@ class TestQueryDispatch:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            count_fixed_diff(0, 0)
+            divisor_count(0)
         with pytest.raises(InvalidDistance):
             count_specified(5, (1, 0))

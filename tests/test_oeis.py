@@ -77,8 +77,8 @@ class TestLoadFixture:
 PER_N = {
     "A000005": counting.divisor_count,
     "A049820": lambda n: n - counting.divisor_count(n),
-    "A008805": lambda n: counting.count_fixed_diff(n, 2),
-    "A128508": lambda n: counting.count_fixed_diff(n, 3),
+    "A008805": lambda n: counting.count_specified(n, (2,)),
+    "A128508": lambda n: counting.count_specified(n, (3,)),
 }
 
 
@@ -93,7 +93,7 @@ class TestOracles:
     def test_oracle_values_cover_n_start_to_n_max(self):
         values = oeis.oracle_values("A128508", 30)
         assert list(values) == list(range(5, 31))
-        assert values[12] == counting.count_fixed_diff(12, 3)
+        assert values[12] == counting.count_specified(12, (3,))
         assert oeis.oracle_values("A128508", 4) == {}
 
     def test_unknown_sequence(self):
@@ -117,12 +117,12 @@ class TestCalibration:
     def test_divisor_fixture_aligns_at_zero(self):
         fixture = calibrated("A000005")
         assert fixture.offset == 0
-        assert fixture.value_for(12) == 6
+        assert dict(fixture.entries)[12 + fixture.offset] == 6
 
     def test_difference_two_fixture_needs_shift(self):
         fixture = calibrated("A008805")
         assert fixture.offset == -4
-        assert fixture.value_for(8) == counting.count_fixed_diff(8, 2)
+        assert dict(fixture.entries)[8 + fixture.offset] == counting.count_specified(8, (2,))
 
     def test_no_alignment_raises(self):
         fixture = oeis.parse_bfile("1 10\n2 20\n3 30\n", "A000005")

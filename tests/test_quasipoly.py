@@ -150,6 +150,11 @@ class TestFromClosedForm:
             from_closed_form(spec, required_order(spec) - 1)
         assert from_closed_form(spec, required_order(spec)).period == 12
 
+    @pytest.mark.parametrize("distances", [(3,), (2, 2)])
+    def test_default_order_is_required_order(self, distances):
+        spec = DistanceSpec(distances)
+        assert from_closed_form(spec) == from_closed_form(spec, required_order(spec))
+
     def test_required_order(self):
         # min_weight + lcm(1..t) * (t + 1)
         assert required_order(DistanceSpec((3,))) == 5 + 6 * 4
