@@ -179,17 +179,24 @@ def _check_routes(specs, n_max: int) -> list[tuple[str, bool, str]]:
     results = []
     for distances in specs:
         spec = DistanceSpec(distances)
-        closed = genfun.closed_form_specified(spec).expand(n_max)
-        direct = genfun.direct_series_specified(spec, n_max)
-        counts = counting.specified_table(spec, n_max)
-        ok = closed == direct and list(closed.coeffs)[1:] == counts[1:]
+        routes = {"closed": list(genfun.closed_form_specified(spec).expand(n_max).coeffs)}
+        routes["direct"] = list(genfun.direct_series_specified(spec, n_max).coeffs)
+        routes["table"] = counting.specified_table(spec, n_max)
         if spec.k == 1:
-            ok = ok and genfun.closed_form_fixed_diff(spec.total).expand(n_max) == closed
+            routes["displayed"] = list(genfun.closed_form_fixed_diff(spec.total).expand(n_max).coeffs)
             check_id = f"routes/fixed-diff/t={spec.total}"
         else:
             check_id = f"routes/specified/({','.join(str(d) for d in distances)})"
-        results.append((check_id, ok, "" if ok else "routes disagree"))
+        ok = all(values == routes["closed"] for values in routes.values())
+        results.append((check_id, ok, "" if ok else _disagreement(routes)))
     return results
+
+
+def _disagreement(routes: dict[str, list[int]]) -> str:
+    """The first n where the routes differ (called only when they do), with each value there."""
+    columns = enumerate(itertools.zip_longest(*routes.values()))
+    n, column = next((n, c) for n, c in columns if len(set(c)) > 1)
+    return f"routes disagree at n={n}: " + ", ".join(f"{r}={v}" for r, v in zip(routes, column))
 
 
 def _check_identities(t_max: int, order: int) -> list[tuple[str, bool, str]]:

@@ -3,11 +3,14 @@
 These never touch the series machinery: they count by direct enumeration
 over the smallest part plus a bounded-coin DP on what remains, so they can
 serve as an independent route against the generating-function expansions.
+The table slides one coin DP along the smallest part s: s -> s+1 drops coin s
+and adds coin s+t+1, two in-place passes instead of a fresh DP over t+1 coins.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -104,6 +107,8 @@ def fixed_diff_table(t: int, n_max: int) -> list[int]:
         raise ValueError(f"difference must be >= 0, got {t}")
     if t > 0:
         return specified_table((t,), n_max)
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     # all parts equal some divisor of n: sieve over part values
     counts = [0] * (n_max + 1)
     for part in range(1, n_max + 1):
@@ -117,17 +122,25 @@ def specified_table(spec, n_max: int) -> list[int]:
 
     With smallest part s, the k+1 milestones s, s+t1, s+t1+t2, ... each occur
     at least once and every other part lies in [s, s+t]; the forced milestones
-    weigh (k+1)s + sum_i (k+1-i) t_i.
+    weigh base = (k+1)s + sum_i (k+1-i) t_i.  `ways`, built once for s = 1, counts the
+    multisets of coins s..s+t by sum to n_max - base; the next s cuts it, drops coin s, adds s+t+1.
     """
     spec = _coerce_spec(spec)
-    t, k, weighted = spec.total, spec.k, spec.weighted_total
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    t, step, base = spec.total, spec.k + 1, spec.min_weight
     counts = [0] * (n_max + 1)
+    ways = _multiset_sums(range(1, t + 2), max(n_max - base, 0))
     s = 1
-    while (k + 1) * s + weighted <= n_max:
-        base = (k + 1) * s + weighted
-        ways = _multiset_sums(range(s, s + t + 1), n_max - base)
-        for r, w in enumerate(ways):
-            counts[base + r] += w
+    while base <= n_max:
+        del ways[n_max - base + 1 :]
+        counts[base:] = map(operator.add, counts[base:], ways)
+        for j in range(len(ways) - 1, s - 1, -1):
+            ways[j] -= ways[j - s]
+        coin = s + t + 1
+        for j in range(coin, len(ways)):
+            ways[j] += ways[j - coin]
+        base += step
         s += 1
     return counts
 

@@ -3,8 +3,9 @@
 
 Every generating function is available by two routes that must agree:
 
-* a direct sum over the smallest part, summed far enough that the omitted
-  summands cannot touch the requested truncation order, and
+* a direct sum over the smallest part m, nested from the last summand that
+  reaches the truncation order down to m = 1, two in-place passes a level
+  (summand m+1 is summand m times q^{k+1}(1-q^m)/(1-q^{m+t+1})), and
 * a closed rational form with a (1-q^m)-product denominator.
 
 The closed form exists when the total distance t exceeds k (t > 1 for a
@@ -41,21 +42,21 @@ from .qseries import (
 
 def direct_series_specified(spec, order: int) -> TruncatedSeries:
     """Sum over the smallest part m of q^{(k+1)m + W} / prod_{j=0}^{t} (1-q^{m+j}),
-    W the weighted milestone total; truncated at `order`."""
+    W the weighted milestone total; truncated at `order`.  Nested from the largest m
+    that reaches the order: V_M = 1, V_m = 1 + q^{k+1}(1-q^m)/(1-q^{m+t+1}) V_{m+1},
+    V_m kept to length order - (k+1)m - W + 1; the sum is q^{k+1+W} V_1 / (q)_{t+1}."""
     spec = _coerce_spec(spec)
-    t, k, weighted = spec.total, spec.k, spec.weighted_total
-    total = [0] * (order + 1)
-    m = 1
-    while (k + 1) * m + weighted <= order:
-        base = (k + 1) * m + weighted
-        term = [0] * (order + 1)
-        term[base] = 1
-        for j in range(t + 1):
-            _divide_by_one_minus_q_power(term, m + j)
-        for j in range(base, order + 1):
-            total[j] += term[j]
-        m += 1
-    return TruncatedSeries(total)
+    t, step, first = spec.total, spec.k + 1, spec.min_weight
+    if first > order:
+        return TruncatedSeries([0] * (order + 1))  # raises for order < 0
+    nested = [1] + [0] * ((order - first) % step)  # V_M, M = (order - first) // step + 1
+    for m in range((order - first) // step, 0, -1):
+        _multiply_by_one_minus_q_power(nested, m)
+        _divide_by_one_minus_q_power(nested, m + t + 1)
+        nested[:0] = [1] + [0] * (step - 1)
+    for j in range(1, t + 2):
+        _divide_by_one_minus_q_power(nested, j)
+    return TruncatedSeries([0] * first + nested)
 
 
 def closed_form_fixed_diff(t: int) -> FactoredRational:

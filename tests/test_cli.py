@@ -213,20 +213,27 @@ def _corrupt_closed(real):
 
 
 @pytest.mark.parametrize(
-    "module, name, corrupt",
+    "module, name, corrupt, route",
     [
-        pytest.param(counting, "specified_table", _corrupt_table, id="table"),
-        pytest.param(genfun, "direct_series_specified", _corrupt_direct, id="direct"),
-        pytest.param(genfun, "closed_form_specified", _corrupt_closed, id="closed"),
-        pytest.param(genfun, "closed_form_fixed_diff", _corrupt_closed, id="displayed"),
+        pytest.param(counting, "specified_table", _corrupt_table, "table", id="table"),
+        pytest.param(genfun, "direct_series_specified", _corrupt_direct, "direct", id="direct"),
+        pytest.param(genfun, "closed_form_specified", _corrupt_closed, "closed", id="closed"),
+        pytest.param(genfun, "closed_form_fixed_diff", _corrupt_closed, "displayed", id="displayed"),
     ],
 )
-def test_route_check_fails_when_one_route_is_wrong(capsys, monkeypatch, module, name, corrupt):
+def test_route_check_fails_when_one_route_is_wrong(
+    capsys, monkeypatch, module, name, corrupt, route
+):
     monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
     code, out, _ = run(capsys, "verify", "--suite", "routes", "--t-max", "4", "--n-max", "60")
     assert code == EXIT_VERIFY_FAIL
     for t in (2, 3, 4):
-        assert f"FAIL routes/fixed-diff/t={t}: routes disagree" in out
+        prefix = f"FAIL routes/fixed-diff/t={t}: routes disagree at n=30: "
+        (line,) = [line for line in out.splitlines() if line.startswith(prefix)]
+        values = dict(item.split("=") for item in line[len(prefix) :].split(", "))
+        assert list(values) == ["closed", "direct", "table", "displayed"]
+        right = {int(v) for r, v in values.items() if r != route}
+        assert len(right) == 1 and int(values[route]) == right.pop() + 1
 
 
 class TestFit:

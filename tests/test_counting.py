@@ -107,6 +107,25 @@ class TestCountFixedDiff:
             fixed_diff_table(-1, 5)
 
 
+class TestNegativeNMax:
+    @pytest.mark.parametrize(
+        "table, args",
+        [
+            pytest.param(specified_table, ((2,), -1), id="specified-t2"),
+            pytest.param(specified_table, ((1, 1), -3), id="specified-1,1"),
+            pytest.param(fixed_diff_table, (0, -2), id="fixed-t0"),
+            pytest.param(fixed_diff_table, (3, -2), id="fixed-t3"),
+        ],
+    )
+    def test_raises_naming_the_value(self, table, args):
+        with pytest.raises(ValueError, match=f"n_max must be >= 0, got {args[1]}"):
+            table(*args)
+
+    def test_zero_is_the_empty_count(self):
+        assert specified_table((2,), 0) == [0]
+        assert fixed_diff_table(0, 0) == [0]
+
+
 class TestCountSpecified:
     @pytest.mark.parametrize("distances", sorted(RAW_SPECIFIED))
     def test_matches_raw_enumeration(self, distances):

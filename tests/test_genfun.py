@@ -1,12 +1,18 @@
 """Generating functions: direct sums, closed forms, and the identities
 behind them."""
 
+import functools
 import itertools
 
 import pytest
 
 from partition_gf import genfun
-from partition_gf.counting import divisor_count, fixed_diff_table, specified_table
+from partition_gf.counting import (
+    divisor_count,
+    fixed_diff_table,
+    iter_specified,
+    specified_table,
+)
 from partition_gf.errors import (
     CutoffTooSmall,
     InvalidDistance,
@@ -83,6 +89,44 @@ class TestDirectSeriesFixedDiff:
     def test_rejects_zero_difference(self):
         with pytest.raises(InvalidDistance):
             direct_series_specified((0,), 10)
+
+
+RECURRENCE_SPECS = [(1,), (2,), (3,), (1, 1), (2, 1), (1, 2), (1, 1, 1), (2, 2), (1, 5, 1), (3, 1, 2, 1)]
+
+
+@functools.cache
+def _brute_counts(spec):
+    return [sum(1 for _ in iter_specified(n, spec)) for n in range(41)]
+
+
+class TestRecurrences:
+    """The table's sliding coin window and the direct sum's nesting against
+    the listed partitions, at every n_max from below the first counted n
+    through many slides of the window."""
+
+    @pytest.mark.parametrize("spec", RECURRENCE_SPECS, ids=str)
+    def test_table_matches_brute_force(self, spec):
+        brute = _brute_counts(spec)
+        for n_max in range(41):
+            assert specified_table(spec, n_max) == brute[: n_max + 1], n_max
+
+    @pytest.mark.parametrize("spec", RECURRENCE_SPECS, ids=str)
+    def test_direct_series_matches_brute_force(self, spec):
+        brute = _brute_counts(spec)
+        for n_max in range(41):
+            assert list(direct_series_specified(spec, n_max).coeffs) == brute[: n_max + 1], n_max
+
+    @pytest.mark.parametrize("spec", [(5,), (1, 3), (2, 1, 2)], ids=str)
+    def test_large_table_matches_closed_form(self, spec):
+        assert specified_table(spec, 1500) == list(closed_form_specified(spec).expand(1500).coeffs)
+
+    @pytest.mark.parametrize("spec", [(1,), (1, 1), (1, 1, 1)], ids=str)
+    def test_large_table_matches_direct_series(self, spec):
+        assert specified_table(spec, 1500) == list(direct_series_specified(spec, 1500).coeffs)
+
+    def test_direct_series_rejects_negative_order(self):
+        with pytest.raises(ValueError):
+            direct_series_specified((2,), -1)
 
 
 class TestClosedFormFixedDiff:
