@@ -36,13 +36,9 @@ from .qseries import (
     IntPolynomial,
     TruncatedSeries,
     gauss_binomial,
-    pochhammer_infinite,
     pochhammer_q,
     pochhammer_shifted,
-    poly_divmod,
     poly_mul,
-    series_div_unit,
-    series_mul,
 )
 from .quasipoly import (
     QuasiPolynomial,
@@ -72,13 +68,9 @@ __all__ = [
     "IntPolynomial",
     "TruncatedSeries",
     "gauss_binomial",
-    "pochhammer_infinite",
     "pochhammer_q",
     "pochhammer_shifted",
-    "poly_divmod",
     "poly_mul",
-    "series_div_unit",
-    "series_mul",
     "QuasiPolynomial",
     "expected_leading",
     "fit",

@@ -13,14 +13,6 @@ class InvalidExponent(PartitionGFError):
     """A q-exponent that must be positive was zero or negative."""
 
 
-class NonUnitDivisor(PartitionGFError):
-    """Series division requires the divisor's constant term to be +1 or -1."""
-
-
-class ExactDivisionError(PartitionGFError):
-    """Polynomial long division hit a non-exact coefficient step."""
-
-
 class InternalError(PartitionGFError):
     """An internal consistency check failed; indicates a bug, not bad input."""
 

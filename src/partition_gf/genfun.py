@@ -32,11 +32,10 @@ from .qseries import (
     TruncatedSeries,
     _divide_by_one_minus_q_power,
     _multiply_by_one_minus_q_power,
+    _times_one_minus_q_powers,
+    _times_ratio,
     gauss_binomial,
-    pochhammer_infinite,
     pochhammer_q,
-    series_div_unit,
-    series_mul,
 )
 
 
@@ -46,9 +45,11 @@ def direct_series_specified(spec, order: int) -> TruncatedSeries:
     that reaches the order: V_M = 1, V_m = 1 + q^{k+1}(1-q^m)/(1-q^{m+t+1}) V_{m+1},
     V_m kept to length order - (k+1)m - W + 1; the sum is q^{k+1+W} V_1 / (q)_{t+1}."""
     spec = _coerce_spec(spec)
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     t, step, first = spec.total, spec.k + 1, spec.min_weight
     if first > order:
-        return TruncatedSeries([0] * (order + 1))  # raises for order < 0
+        return TruncatedSeries([0] * (order + 1))
     nested = [1] + [0] * ((order - first) % step)  # V_M, M = (order - first) // step + 1
     for m in range((order - first) // step, 0, -1):
         _multiply_by_one_minus_q_power(nested, m)
@@ -90,8 +91,9 @@ def closed_form_specified(spec) -> FactoredRational:
 
     The Gaussian binomial in the denominator is cleared through
     [t-1,k] = (q)_{t-1} / ((q)_k (q)_{t-1-k}): the complementary Pochhammers
-    join the numerator, (q)_{t-1} joins the (1-q^m) denominator multiset, and
-    common factors are cancelled by exact division.
+    join the numerator as one in-place (1-q^m) pass each, (q)_{t-1} joins the
+    (1-q^m) denominator multiset, and common factors are cancelled by exact
+    division.  The rows [t,j] of the sum are stepped from one to the next.
     """
     spec = _coerce_spec(spec)
     t, k, weighted = spec.total, spec.k, spec.weighted_total
@@ -102,7 +104,9 @@ def closed_form_specified(spec) -> FactoredRational:
     numerator = core.shift(lead_exp)
     if k % 2 == 1:
         numerator = -numerator
-    numerator = numerator * pochhammer_q(k) * pochhammer_q(t - 1 - k)
+    numerator = IntPolynomial(
+        _times_one_minus_q_powers(numerator, [*range(1, k + 1), *range(1, t - k)])
+    )
     denominator = (
         [(m, 1) for m in range(1, t)]      # (q)_{t-1}
         + [(t, 1)]                         # 1 - q^t
@@ -132,12 +136,16 @@ def qbinomial_alternating_sum(t: int, j_min: int = 0) -> IntPolynomial:
     return _alternating_sum(t, range(j_min, t + 1))
 
 
-def _alternating_sum(t: int, js) -> IntPolynomial:
-    """sum_{j in js} [t,j] (-1)^j q^{C(j+1,2)}.  Private: perfbench times public
-    genfun functions, and the closed form's sum is not an identity check."""
+def _alternating_sum(t: int, js: range) -> IntPolynomial:
+    """sum_{j in js} [t,j] (-1)^j q^{C(j+1,2)}, each row after the first stepped
+    by [t,j+1] = [t,j] (1-q^{t-j}) / (1-q^{j+1}).  Private: perfbench times
+    public genfun functions, and the closed form's sum is not an identity check."""
     out = IntPolynomial()
+    row = list(gauss_binomial(t, js.start).coeffs)
     for j in js:
-        part = gauss_binomial(t, j).shift(math.comb(j + 1, 2))
+        if j > js.start:
+            row = _times_ratio(row, t - j + 1, j)
+        part = IntPolynomial(row).shift(math.comb(j + 1, 2))
         out = out + (part if j % 2 == 0 else -part)
     return out
 
@@ -174,10 +182,15 @@ def heine_check(
 
     The left sum is cut at `cutoff` terms past m=0; since the m-th term starts
     exactly at q^{z_exp * m}, CutoffTooSmall is raised when term cutoff+1 still
-    reaches the order.  The right sum's (abz/c)_j may involve q to negative
-    powers; each such factor 1 - q^{-e} is rewritten as -q^{-e}(1 - q^e) and
-    the collected monomial must stay a power series, otherwise the
-    specialization is rejected.
+    reaches the order.  The two sides are computed independently, each term
+    stepped from the one before by its ratio, one in-place (1-q^e) pass per
+    factor.  At integer exponents the infinite products telescope to
+    prod_{e=c-b}^{c-1} (1-q^e) / prod_{e=z}^{z+b-1} (1-q^e), 2b passes.  The
+    right sum's (abz/c)_j may involve q to negative powers; each such factor
+    1 - q^{-e} is rewritten as -q^{-e}(1 - q^e).  Term j then starts at
+    q^{offset_j}, and offset_j grows by at least 1 per term (by c - b, or by
+    a + z + j - 1 when a factor was rewritten), so every term is a power series
+    and the sum stops at the first term past the order.
     """
     for name, e in (("a_exp", a_exp), ("b_exp", b_exp), ("c_exp", c_exp), ("z_exp", z_exp)):
         if e < 1:
@@ -186,6 +199,8 @@ def heine_check(
         raise InvalidExponent(
             f"need c_exp > b_exp for the (c/b) infinite product, got {c_exp} <= {b_exp}"
         )
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     if z_exp * (cutoff + 1) <= order:
         raise CutoffTooSmall(
             f"term {cutoff + 1} starts at q^{z_exp * (cutoff + 1)} <= order {order}"
@@ -206,58 +221,35 @@ def heine_check(
             _divide_by_one_minus_q_power(term, c_exp + m - 1)
         for j in range(order + 1):
             lhs[j] += term[j]
-    lhs_series = TruncatedSeries(lhs)
+    return lhs == _heine_right_side(a_exp, b_exp, c_exp, z_exp, order)
 
+
+def _heine_right_side(a_exp: int, b_exp: int, c_exp: int, z_exp: int, order: int) -> list[int]:
+    """The transformed side of `heine_check` through q^order: term j is
+    sign * q^offset * P_j with P_j = (abz/c)_j (b)_j / ((q)_j (bz)_j), the
+    factors of (abz/c)_j with negative exponent rewritten as above."""
     cb = c_exp - b_exp
-    prefactor = series_mul(
-        pochhammer_infinite(cb, order), pochhammer_infinite(b_exp + z_exp, order)
-    )
-    prefactor = series_div_unit(prefactor, pochhammer_infinite(c_exp, order))
-    prefactor = series_div_unit(prefactor, pochhammer_infinite(z_exp, order))
-
     s = a_exp + b_exp + z_exp - c_exp  # exponent in (abz/c)_j
-    rhs_sum = [0] * (order + 1)
-    j = 0
-    while True:
-        if s <= 0 and j >= 1 - s:
-            break  # the factor 1 - q^0 entered at j = 1-s; all later terms vanish
-        if s >= 1 and cb * j > order:
-            break
-        shift = 0
-        numer = [0] * (order + 1)
-        numer[0] = 1
-        sign = 1
-        vanished = False
-        for i in range(j):
-            e = s + i
-            if e == 0:
-                vanished = True
-                break
-            if e > 0:
-                _multiply_by_one_minus_q_power(numer, e)
-            else:
-                shift += e
+    total = [0] * (order + 1)
+    term = [1] + [0] * order  # P_0
+    offset, sign = 0, 1
+    for j in range(order + 2):  # offset >= j, so term order + 1 is past the order
+        if j > 0:
+            # P_j = P_{j-1} (1-q^{|s+j-1|})(1-q^{b+j-1}) / ((1-q^j)(1-q^{b+z+j-1}))
+            e = s + j - 1
+            offset += cb + min(e, 0)
+            if e == 0 or offset > order:
+                break  # 1 - q^0 zeroes every later term; or they all start past the order
+            if e < 0:
                 sign = -sign
-                _multiply_by_one_minus_q_power(numer, -e)
-        if vanished:
-            j += 1
-            continue
-        for i in range(j):
-            _multiply_by_one_minus_q_power(numer, b_exp + i)
-        offset = shift + cb * j
-        if offset < 0:
-            raise InvalidExponent(
-                "specialization leaves q^{-1} terms on the transformed side; "
-                f"term j={j} has net exponent {offset}"
-            )
-        if offset <= order:
-            numer = [0] * offset + numer[: order + 1 - offset]
-            for i in range(j):
-                _divide_by_one_minus_q_power(numer, i + 1)
-                _divide_by_one_minus_q_power(numer, b_exp + z_exp + i)
-            for idx in range(order + 1):
-                rhs_sum[idx] += sign * numer[idx]
-        j += 1
-    rhs_series = series_mul(prefactor, TruncatedSeries(rhs_sum))
-
-    return lhs_series == rhs_series
+            _multiply_by_one_minus_q_power(term, abs(e))
+            _multiply_by_one_minus_q_power(term, b_exp + j - 1)
+            _divide_by_one_minus_q_power(term, j)
+            _divide_by_one_minus_q_power(term, b_exp + z_exp + j - 1)
+        for idx in range(order + 1 - offset):
+            total[offset + idx] += sign * term[idx]
+    for e in range(cb, c_exp):
+        _multiply_by_one_minus_q_power(total, e)
+    for e in range(z_exp, z_exp + b_exp):
+        _divide_by_one_minus_q_power(total, e)
+    return total

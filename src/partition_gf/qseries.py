@@ -12,6 +12,13 @@ Conventions:
 * ``FactoredRational`` is numerator / prod (1 - q^m)^e.  Each factor inverts
   to an integer geometric series, so expansion to any order stays in Z.
 
+Every product and quotient by a factor 1 - q^m is one in-place pass over a
+coefficient list, never a dense product or a long division: multiplying
+subtracts the list shifted by m, dividing adds it back as a geometric series.
+A polynomial quotient by 1 - q^m is exact precisely when that geometric pass
+leaves the top m entries zero, which is how ``gauss_binomial`` and
+``FactoredRational.reduce`` divide.
+
 All values are immutable and all functions are pure.
 """
 
@@ -19,13 +26,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import (
-    ExactDivisionError,
-    InternalError,
-    InvalidExponent,
-    NonUnitDivisor,
-    OrderTooLarge,
-)
+from .errors import InternalError, InvalidExponent, OrderTooLarge
 
 
 def _trim(coeffs: list[int]) -> tuple[int, ...]:
@@ -144,34 +145,6 @@ def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(out)
 
 
-def poly_divmod(a: IntPolynomial, b: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-    """Long division over Z; requires b's leading coefficient to be +-1.
-
-    Every divisor used in this package ((1-q^m) factors, Pochhammer products,
-    Gaussian binomials) has unit leading coefficient, which keeps each step
-    exact over the integers.
-    """
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = b.coeffs[-1]
-    if lead not in (1, -1):
-        raise ExactDivisionError(f"divisor leading coefficient must be +-1, got {lead}")
-    rem = list(a.coeffs)
-    db = b.degree
-    if a.degree < db:
-        return POLY_ZERO, a
-    quot = [0] * (a.degree - db + 1)
-    for i in range(a.degree - db, -1, -1):
-        c = rem[i + db]
-        if c == 0:
-            continue
-        factor = c * lead  # c // lead since lead is a unit
-        quot[i] = factor
-        for j, cb in enumerate(b.coeffs):
-            rem[i + j] -= factor * cb
-    return IntPolynomial(quot), IntPolynomial(rem)
-
-
 class TruncatedSeries:
     """A power series known exactly through q^order."""
 
@@ -204,50 +177,6 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, coeffs=[{head}{tail}])"
 
 
-def series_mul(a: TruncatedSeries, b: TruncatedSeries, order: int | None = None) -> TruncatedSeries:
-    """Product through q^order (default min of the input orders)."""
-    if order is None:
-        order = min(a.order, b.order)
-    if order > a.order or order > b.order:
-        raise OrderTooLarge(
-            f"order {order} exceeds input orders {a.order}, {b.order}"
-        )
-    out = [0] * (order + 1)
-    for i in range(order + 1):
-        ca = a.coeffs[i]
-        if ca == 0:
-            continue
-        for j in range(order + 1 - i):
-            cb = b.coeffs[j]
-            if cb != 0:
-                out[i + j] += ca * cb
-    return TruncatedSeries(out)
-
-
-def series_div_unit(a: TruncatedSeries, b: TruncatedSeries, order: int | None = None) -> TruncatedSeries:
-    """Quotient c with c*b == a through q^order; b must have constant term +-1."""
-    if order is None:
-        order = min(a.order, b.order)
-    if order > a.order or order > b.order:
-        raise OrderTooLarge(
-            f"order {order} exceeds input orders {a.order}, {b.order}"
-        )
-    b0 = b.coeffs[0]
-    if b0 not in (1, -1):
-        raise NonUnitDivisor(f"divisor constant term must be +-1, got {b0}")
-    # c[n] = (a[n] - sum_{j>=1} b[j] c[n-j]) / b[0]; iterate nonzero b[j] only.
-    nonzero = [(j, b.coeffs[j]) for j in range(1, order + 1) if b.coeffs[j] != 0]
-    out = [0] * (order + 1)
-    for n in range(order + 1):
-        acc = a.coeffs[n]
-        for j, bj in nonzero:
-            if j > n:
-                break
-            acc -= bj * out[n - j]
-        out[n] = acc * b0  # divide by +-1
-    return TruncatedSeries(out)
-
-
 def _divide_by_one_minus_q_power(coeffs: list[int], m: int) -> None:
     """In place: multiply by the geometric expansion of 1/(1-q^m)."""
     for j in range(m, len(coeffs)):
@@ -258,6 +187,36 @@ def _multiply_by_one_minus_q_power(coeffs: list[int], m: int) -> None:
     """In place: multiply by (1 - q^m)."""
     for j in range(len(coeffs) - 1, m - 1, -1):
         coeffs[j] -= coeffs[j - m]
+
+
+def _times_one_minus_q_powers(coeffs, ms) -> list[int]:
+    """coeffs * prod_{m in ms} (1 - q^m) as a new list, one pass per factor."""
+    out = list(coeffs) + [0] * sum(ms)
+    for m in ms:
+        _multiply_by_one_minus_q_power(out, m)
+    return out
+
+
+def _exact_quotient(coeffs: list[int], m: int) -> list[int] | None:
+    """The polynomial coeffs / (1 - q^m), or None when the division leaves a
+    remainder.  The geometric pass divides as a power series; the quotient is
+    a polynomial exactly when that pass leaves the top m entries zero."""
+    quot = list(coeffs)
+    _divide_by_one_minus_q_power(quot, m)
+    cut = max(len(quot) - m, 0)
+    if any(quot[cut:]):
+        return None
+    del quot[cut:]
+    return quot
+
+
+def _times_ratio(coeffs, up: int, down: int) -> list[int]:
+    """coeffs * (1 - q^up) / (1 - q^down), where the caller knows the quotient
+    is a polynomial; a remainder means broken arithmetic (InternalError)."""
+    quot = _exact_quotient(_times_one_minus_q_powers(coeffs, (up,)), down)
+    if quot is None:
+        raise InternalError(f"(1-q^{up})/(1-q^{down}) step left a remainder")
+    return quot
 
 
 def pochhammer_q(m: int) -> IntPolynomial:
@@ -271,46 +230,28 @@ def pochhammer_shifted(a: int, m: int) -> IntPolynomial:
         raise InvalidExponent(f"starting exponent must be >= 1, got {a}")
     if m < 0:
         raise ValueError(f"number of factors must be >= 0, got {m}")
-    out = [1] + [0] * (m * a + m * (m - 1) // 2)
-    for j in range(m):
-        _multiply_by_one_minus_q_power(out, a + j)
-    return IntPolynomial(out)
-
-
-def pochhammer_infinite(a: int, order: int) -> TruncatedSeries:
-    """prod_{j>=0} (1 - q^{a+j}) modulo q^{order+1}, a >= 1.
-
-    Only factors with exponent <= order differ from 1 modulo the truncation,
-    so the product is finite.
-    """
-    if a < 1:
-        raise InvalidExponent(f"starting exponent must be >= 1, got {a}")
-    out = [1] + [0] * order
-    for e in range(a, order + 1):
-        _multiply_by_one_minus_q_power(out, e)
-    return TruncatedSeries(out)
+    return IntPolynomial(_times_one_minus_q_powers([1], range(a, a + m)))
 
 
 def gauss_binomial(top: int, bottom: int) -> IntPolynomial:
     """Gaussian binomial [top, bottom] as an exact polynomial.
 
-    Computed as (q)_top / ((q)_bottom (q)_{top-bottom}) by polynomial long
-    division; a nonzero remainder would mean the arithmetic is broken, so it
-    raises InternalError rather than a value error.  Out-of-range bottom
-    yields the zero polynomial.
+    Built as prod_{i=1}^{b} (1-q^{top-b+i}) / (1-q^i) with
+    b = min(bottom, top-bottom), one multiply pass and one exact-division pass
+    per factor.  The partial product after i factors is the Gaussian
+    polynomial [top-b+i, i], so every division is exact; a remainder would
+    mean the arithmetic is broken, so it raises InternalError rather than a
+    value error.  Out-of-range bottom yields the zero polynomial.
     """
     if top < 0:
         raise ValueError(f"top index must be >= 0, got {top}")
     if bottom < 0 or bottom > top:
         return POLY_ZERO
-    numerator = pochhammer_q(top)
-    denominator = pochhammer_q(bottom) * pochhammer_q(top - bottom)
-    quot, rem = poly_divmod(numerator, denominator)
-    if not rem.is_zero():
-        raise InternalError(
-            f"gauss_binomial({top},{bottom}): Pochhammer division left remainder {rem!r}"
-        )
-    return quot
+    b = min(bottom, top - bottom)
+    coeffs = [1]
+    for i in range(1, b + 1):
+        coeffs = _times_ratio(coeffs, top - b + i, i)
+    return IntPolynomial(coeffs)
 
 
 def gauss_binomial_pascal(top: int, bottom: int) -> IntPolynomial:
@@ -358,6 +299,8 @@ class FactoredRational:
         self.denominator = () if numerator.is_zero() else _normalize_denominator(denominator)
 
     def expand(self, order: int) -> TruncatedSeries:
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
         out = [self.numerator[i] for i in range(order + 1)]
         for m, e in self.denominator:
             for _ in range(e):
@@ -374,9 +317,10 @@ class FactoredRational:
         mine = dict(self.denominator)
         theirs = dict(other.denominator)
         common = {m: max(mine.get(m, 0), theirs.get(m, 0)) for m in set(mine) | set(theirs)}
-        left = self.numerator * _cofactor(common, mine)
-        right = other.numerator * _cofactor(common, theirs)
-        return FactoredRational(left + right, [(m, e) for m, e in common.items() if e > 0])
+        left = _times_one_minus_q_powers(self.numerator, _cofactor(common, mine))
+        right = _times_one_minus_q_powers(other.numerator, _cofactor(common, theirs))
+        total = IntPolynomial(left) + IntPolynomial(right)
+        return FactoredRational(total, [(m, e) for m, e in common.items() if e > 0])
 
     def __neg__(self) -> FactoredRational:
         return FactoredRational(-self.numerator, self.denominator)
@@ -387,22 +331,22 @@ class FactoredRational:
     def reduce(self) -> FactoredRational:
         """Cancel denominator factors that divide the numerator exactly.
 
-        Greedy per factor, smallest m first; enough to recover the familiar
-        display shapes, with no claim of global minimality.
+        Greedy per factor, smallest m first, dividing while the division is
+        exact; enough to recover the familiar display shapes, with no claim
+        of global minimality.  Each trial division is one O(degree) pass.
         """
-        numerator = self.numerator
+        numerator = list(self.numerator.coeffs)
         remaining: list[tuple[int, int]] = []
         for m, e in self.denominator:
-            factor = IntPolynomial.one_minus_q_power(m)
             while e > 0:
-                quot, rem = poly_divmod(numerator, factor)
-                if not rem.is_zero():
+                quot = _exact_quotient(numerator, m)
+                if quot is None:
                     break
                 numerator = quot
                 e -= 1
             if e > 0:
                 remaining.append((m, e))
-        return FactoredRational(numerator, remaining)
+        return FactoredRational(IntPolynomial(numerator), remaining)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -423,9 +367,6 @@ class FactoredRational:
         return f"FactoredRational({self.numerator!r} / {factors})"
 
 
-def _cofactor(common: dict[int, int], part: dict[int, int]) -> IntPolynomial:
-    out = POLY_ONE
-    for m, e in common.items():
-        for _ in range(e - part.get(m, 0)):
-            out = out * IntPolynomial.one_minus_q_power(m)
-    return out
+def _cofactor(common: dict[int, int], part: dict[int, int]) -> list[int]:
+    """The exponents m of the factors 1 - q^m that `common` has beyond `part`."""
+    return [m for m, e in common.items() for _ in range(e - part.get(m, 0))]

@@ -151,6 +151,24 @@ class TestVerify:
         assert "FAIL" not in out
         assert "identities/heine/k=1,t=2" in out
 
+    def test_identities_suite_fails_on_corrupted_heine_side(self, capsys, monkeypatch):
+        right_side = genfun._heine_right_side
+
+        def corrupted(*args):
+            out = right_side(*args)
+            out[5] -= 1
+            return out
+
+        monkeypatch.setattr(genfun, "_heine_right_side", corrupted)
+        code, out, _ = run(
+            capsys, "verify", "--suite", "identities", "--t-max", "4", "--order", "30"
+        )
+        assert code == EXIT_VERIFY_FAIL
+        heine = [line for line in out.splitlines() if "identities/heine/" in line]
+        assert len(heine) == 6
+        assert all(line.startswith("FAIL identities/heine/") for line in heine)
+        assert "PASS identities/p1/order=30" in out
+
     def test_routes_suite(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "routes", "--t-max", "6", "--n-max", "80"

@@ -2,11 +2,12 @@
 behind them."""
 
 import functools
+import hashlib
 import itertools
 
 import pytest
 
-from partition_gf import genfun
+from partition_gf import cli, genfun
 from partition_gf.counting import (
     divisor_count,
     fixed_diff_table,
@@ -125,7 +126,7 @@ class TestRecurrences:
         assert specified_table(spec, 1500) == list(direct_series_specified(spec, 1500).coeffs)
 
     def test_direct_series_rejects_negative_order(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^order must be >= 0, got -1$"):
             direct_series_specified((2,), -1)
 
 
@@ -305,3 +306,50 @@ class TestHeine:
     def test_rejects_c_not_above_b(self):
         with pytest.raises(InvalidExponent):
             heine_check(1, 2, 2, 1, 10, 10)
+
+    def test_rejects_negative_order(self):
+        with pytest.raises(ValueError, match=r"^order must be >= 0, got -1$"):
+            heine_check(1, 1, 5, 2, -1, 5)
+
+    @pytest.mark.parametrize("a,c", [(1, 9), (2, 12), (3, 4)], ids=["s<0", "s<<0", "s>0"])
+    def test_negative_exponent_specializations(self, a, c):
+        # s = a + b + z - c in (abz/c)_j: for s <= 0 its factors 1 - q^{s+i}
+        # with s + i < 0 are rewritten, and 1 - q^0 ends the sum at j = 1 - s.
+        assert heine_check(a, 2, c, 3, 50, 50 // 3)
+
+    @pytest.mark.parametrize("n", [0, 7, 40])
+    def test_fails_when_right_side_is_corrupted(self, monkeypatch, n):
+        right_side = genfun._heine_right_side
+
+        def corrupted(*args):
+            out = right_side(*args)
+            out[n] += 1
+            return out
+
+        monkeypatch.setattr(genfun, "_heine_right_side", corrupted)
+        assert not heine_check(1, 1, 5, 2, 40, 20)
+
+
+# sha256 over the reprs of the closed forms and Gaussian binomials, one per
+# line, captured from the long-division build before the (1-q^m) kernels
+# replaced it: a change of factor order, reduction or coefficient shows here.
+STRUCTURE_GOLDEN = {
+    "specified": "866c4b53fa834833f823495029136d6fab85b6f9ea4674367426789e608e9a36",
+    "fixed-diff": "7102dc7741a5dcfbdcd8b2299cfa21a77e9bc3bb5931c1a37b4075fdcd123b63",
+    "gauss": "21b11de117286b9239b0b91e358dfafd904f2e8ae049a3423a191a32a793c398",
+}
+
+STRUCTURES = {
+    "specified": lambda: [
+        closed_form_specified(spec)
+        for spec in [*cli._specified_grid(), *((t,) for t in range(2, 13))]
+    ],
+    "fixed-diff": lambda: [closed_form_fixed_diff(t) for t in range(2, 13)],
+    "gauss": lambda: [gauss_binomial(a, b) for a in range(17) for b in range(a + 1)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(STRUCTURE_GOLDEN))
+def test_closed_form_structure_matches_golden(family):
+    text = "\n".join(repr(value) for value in STRUCTURES[family]())
+    assert hashlib.sha256(text.encode()).hexdigest() == STRUCTURE_GOLDEN[family]

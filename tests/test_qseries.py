@@ -4,29 +4,32 @@ import random
 
 import pytest
 
-from partition_gf.errors import (
-    InvalidExponent,
-    NonUnitDivisor,
-    OrderTooLarge,
-)
+from partition_gf import qseries
+from partition_gf.errors import InternalError, InvalidExponent, OrderTooLarge
 from partition_gf.qseries import (
     FactoredRational,
     IntPolynomial,
     TruncatedSeries,
+    _divide_by_one_minus_q_power,
+    _exact_quotient,
+    _multiply_by_one_minus_q_power,
     gauss_binomial,
     gauss_binomial_pascal,
-    pochhammer_infinite,
     pochhammer_q,
     pochhammer_shifted,
-    poly_divmod,
     poly_mul,
-    series_div_unit,
-    series_mul,
 )
 
 
 def P(*coeffs):
     return IntPolynomial(coeffs)
+
+
+def truncated_product(a, b, order):
+    """Schoolbook product of two series' coefficients through q^order."""
+    return TruncatedSeries(
+        [sum(a.coeffs[i] * b.coeffs[n - i] for i in range(n + 1)) for n in range(order + 1)]
+    )
 
 
 class TestIntPolynomial:
@@ -66,19 +69,21 @@ class TestIntPolynomial:
             assert poly_mul(a, b) == poly_mul(b, a)
 
     def test_divmod_roundtrip(self):
+        # Exact division by 1 - q^m: multiples come back as their cofactor, and
+        # a polynomial is a multiple exactly when its coefficient sums over
+        # each residue class mod m vanish (it vanishes at every m-th root of 1).
         rng = random.Random(11)
-        for _ in range(40):
-            a = IntPolynomial(rng.randrange(-5, 6) for _ in range(rng.randrange(9)))
-            b = IntPolynomial([rng.randrange(-5, 6) for _ in range(rng.randrange(4))] + [1])
-            quot, rem = poly_divmod(a, b)
-            assert quot * b + rem == a
-            assert rem.degree < b.degree
-
-    def test_divmod_needs_unit_leading(self):
-        from partition_gf.errors import ExactDivisionError
-
-        with pytest.raises(ExactDivisionError):
-            poly_divmod(P(1, 0, 4), P(1, 2))
+        for _ in range(60):
+            m = rng.randrange(1, 6)
+            b = IntPolynomial.one_minus_q_power(m)
+            quot = IntPolynomial(rng.randrange(-5, 6) for _ in range(rng.randrange(9)))
+            assert _exact_quotient(list((quot * b).coeffs), m) == list(quot.coeffs)
+            a = IntPolynomial(rng.randrange(-2, 3) for _ in range(rng.randrange(9)))
+            got = _exact_quotient(list(a.coeffs), m)
+            divisible = all(sum(a.coeffs[r::m]) == 0 for r in range(m))
+            assert (got is not None) == divisible
+            if got is not None:
+                assert IntPolynomial(got) * b == a
 
     def test_shift_and_monomial(self):
         assert P(1, -1).shift(3) == P(0, 0, 0, 1, -1)
@@ -107,52 +112,46 @@ class TestTruncatedSeries:
             s[2]
 
     def test_mul_geometric_prefix_square(self):
-        s = TruncatedSeries([1, 1, 1])
-        assert series_mul(s, s, 2) == TruncatedSeries([1, 2, 3])
+        assert FactoredRational(P(1), [(1, 2)]).expand(2) == TruncatedSeries([1, 2, 3])
 
     def test_mul_identity(self):
-        s = TruncatedSeries([3, -1, 4, 1])
-        assert series_mul(s, TruncatedSeries([1, 0, 0, 0])) == s
-
-    def test_mul_order_too_large(self):
-        with pytest.raises(OrderTooLarge):
-            series_mul(TruncatedSeries([1, 1]), TruncatedSeries([1, 1]), 5)
+        assert FactoredRational(P(3, -1, 4, 1)).expand(3) == TruncatedSeries([3, -1, 4, 1])
 
     def test_mul_telescopes_against_inverse(self):
-        one_minus_q = TruncatedSeries([1, -1, 0, 0, 0, 0])
-        inverse = TruncatedSeries([1, 1, 1, 1, 1, 1])
-        assert series_mul(one_minus_q, inverse) == TruncatedSeries([1, 0, 0, 0, 0, 0])
+        assert FactoredRational(P(1, -1), [(1, 1)]).expand(5) == TruncatedSeries([1, 0, 0, 0, 0, 0])
 
 
 class TestSeriesDivision:
+    """The in-place (1-q^m) kernels on truncated coefficient lists."""
+
     def test_by_one_minus_q_matches_geometric(self):
-        a = TruncatedSeries([1, 0, 0, 0, 0])
-        b = TruncatedSeries([1, -1, 0, 0, 0])
-        assert series_div_unit(a, b) == TruncatedSeries([1, 1, 1, 1, 1])
+        coeffs = [1, 0, 0, 0, 0]
+        _divide_by_one_minus_q_power(coeffs, 1)
+        assert coeffs == [1, 1, 1, 1, 1]
 
     def test_self_division_is_one(self):
-        b = TruncatedSeries([1, 5, -2, 7, 0, 3])
-        assert series_div_unit(b, b) == TruncatedSeries([1, 0, 0, 0, 0, 0])
+        coeffs = [pochhammer_shifted(2, 3)[i] for i in range(6)]
+        for m in (2, 3, 4):
+            _divide_by_one_minus_q_power(coeffs, m)
+        assert coeffs == [1, 0, 0, 0, 0, 0]
 
     def test_difference_two_denominator(self):
-        # q^4 / ((1-q)^3 (1+q)^2) expanded through q^8
-        denominator = P(1, -1) * P(1, -1) * P(1, -1) * P(1, 1) * P(1, 1)
-        a = TruncatedSeries([0, 0, 0, 0, 1, 0, 0, 0, 0])
-        b = TruncatedSeries([denominator[i] for i in range(9)])
-        assert series_div_unit(a, b).coeffs == (0, 0, 0, 0, 1, 1, 3, 3, 6)
-
-    def test_non_unit_divisor_rejected(self):
-        with pytest.raises(NonUnitDivisor):
-            series_div_unit(TruncatedSeries([1, 0, 0, 0]), TruncatedSeries([2, 1, 0, 0]))
+        # q^4 / ((1-q)^3 (1+q)^2) = q^4 / ((1-q)(1-q^2)^2) expanded through q^8
+        coeffs = [0, 0, 0, 0, 1, 0, 0, 0, 0]
+        for m in (1, 2, 2):
+            _divide_by_one_minus_q_power(coeffs, m)
+        assert coeffs == [0, 0, 0, 0, 1, 1, 3, 3, 6]
 
     def test_div_mul_roundtrip(self):
         rng = random.Random(23)
         for _ in range(30):
             order = rng.randrange(3, 12)
-            a = TruncatedSeries([rng.randrange(-6, 7) for _ in range(order + 1)])
-            b_coeffs = [rng.choice([1, -1])] + [rng.randrange(-3, 4) for _ in range(order)]
-            b = TruncatedSeries(b_coeffs)
-            assert series_mul(series_div_unit(a, b), b) == a
+            a = [rng.randrange(-6, 7) for _ in range(order + 1)]
+            coeffs = list(a)
+            m = rng.randrange(1, order + 3)
+            _divide_by_one_minus_q_power(coeffs, m)
+            _multiply_by_one_minus_q_power(coeffs, m)
+            assert coeffs == a
 
 
 class TestGeometricInverse:
@@ -210,18 +209,19 @@ class TestPochhammer:
         with pytest.raises(ValueError):
             pochhammer_shifted(2, -1)
 
+    # (q^a; q)_oo modulo q^{N+1} is the finite product of its factors up to q^N.
     def test_infinite_beyond_order_is_one(self):
-        assert pochhammer_infinite(9, 5) == TruncatedSeries([1, 0, 0, 0, 0, 0])
+        assert FactoredRational(pochhammer_shifted(9, 3)).expand(5) == TruncatedSeries([1, 0, 0, 0, 0, 0])
 
     def test_infinite_pentagonal_prefix(self):
-        assert pochhammer_infinite(1, 5).coeffs == (1, -1, -1, 0, 0, 1)
+        assert FactoredRational(pochhammer_q(5)).expand(5).coeffs == (1, -1, -1, 0, 0, 1)
 
     def test_infinite_shifted(self):
-        assert pochhammer_infinite(2, 3).coeffs == (1, 0, -1, -1)
+        assert FactoredRational(pochhammer_shifted(2, 2)).expand(3).coeffs == (1, 0, -1, -1)
 
     def test_infinite_rejects_nonpositive(self):
         with pytest.raises(InvalidExponent):
-            pochhammer_infinite(0, 4)
+            pochhammer_shifted(0, 4)
 
 
 class TestGaussBinomial:
@@ -250,10 +250,15 @@ class TestGaussBinomial:
             assert sum(poly.coeffs) == math.comb(top, bottom)
             assert poly.degree == bottom * (top - bottom)
 
-    @pytest.mark.parametrize("top", range(9))
+    @pytest.mark.parametrize("top", range(17))
     def test_matches_pascal_recurrence(self, top):
         for bottom in range(-1, top + 2):
             assert gauss_binomial(top, bottom) == gauss_binomial_pascal(top, bottom)
+
+    def test_remainder_is_internal_error(self, monkeypatch):
+        monkeypatch.setattr(qseries, "_exact_quotient", lambda coeffs, m: None)
+        with pytest.raises(InternalError, match="left a remainder"):
+            gauss_binomial(5, 2)
 
 
 class TestFactoredRational:
@@ -285,7 +290,7 @@ class TestFactoredRational:
         a = FactoredRational(P(1, 1), [(1, 1), (3, 1)])
         b = FactoredRational(P(0, 1, -1), [(2, 2)])
         left = (a * b).expand(20)
-        right = series_mul(a.expand(20), b.expand(20))
+        right = truncated_product(a.expand(20), b.expand(20), 20)
         assert left == right
 
     def test_addition(self):
@@ -294,6 +299,27 @@ class TestFactoredRational:
         total = a + b
         termwise = [x + y for x, y in zip(a.expand(10).coeffs, b.expand(10).coeffs)]
         assert total.expand(10) == TruncatedSeries(termwise)
+
+    def test_expand_rejects_negative_order(self):
+        with pytest.raises(ValueError, match=r"^order must be >= 0, got -1$"):
+            FactoredRational(P(1), [(1, 1)]).expand(-1)
+
+    @pytest.mark.parametrize(
+        "numerator,denominator,reduced",
+        [
+            (P(1, 1), [(3, 1)], ((3, 1),)),  # numerator degree below m
+            (P(1, 2, 0, -1), [(2, 1)], ((2, 1),)),  # degree >= m, division inexact
+            (P(0, 1, 0, -1), [(2, 3)], ((2, 2),)),  # q(1-q^2): one of three factors cancels
+            (P(1, -1), [(1, 1), (2, 1)], ((2, 1),)),  # cancels the first factor only
+            (IntPolynomial(), [(2, 1)], ()),  # zero numerator
+        ],
+        ids=["below-m", "inexact", "partial-power", "first-only", "zero"],
+    )
+    def test_reduce_edge_cases(self, numerator, denominator, reduced):
+        fr = FactoredRational(numerator, denominator)
+        out = fr.reduce()
+        assert out.denominator == reduced
+        assert out.expand(20) == fr.expand(20)
 
     def test_reduce_preserves_expansion(self):
         fr = FactoredRational(P(0, 1, -1).shift(3), [(1, 2), (2, 1)])  # q^4(1-q)/...
