@@ -38,7 +38,6 @@ from .qseries import (
     gauss_binomial,
     pochhammer_q,
     pochhammer_shifted,
-    poly_mul,
 )
 from .quasipoly import (
     QuasiPolynomial,
@@ -70,7 +69,6 @@ __all__ = [
     "gauss_binomial",
     "pochhammer_q",
     "pochhammer_shifted",
-    "poly_mul",
     "QuasiPolynomial",
     "expected_leading",
     "fit",

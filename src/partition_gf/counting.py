@@ -4,13 +4,14 @@ These never touch the series machinery: they count by direct enumeration
 over the smallest part plus a bounded-coin DP on what remains, so they can
 serve as an independent route against the generating-function expansions.
 The table slides one coin DP along the smallest part s: s -> s+1 drops coin s
-and adds coin s+t+1, two in-place passes instead of a fresh DP over t+1 coins.
+and adds coin s+t+1.  The DP and the counts are each one integer, the
+polynomial evaluated at q = 2^w, so a pass over the window is a few big-int
+shifts, masks and adds rather than a loop over coefficients.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -122,27 +123,56 @@ def specified_table(spec, n_max: int) -> list[int]:
 
     With smallest part s, the k+1 milestones s, s+t1, s+t1+t2, ... each occur
     at least once and every other part lies in [s, s+t]; the forced milestones
-    weigh base = (k+1)s + sum_i (k+1-i) t_i.  `ways`, built once for s = 1, counts the
-    multisets of coins s..s+t by sum to n_max - base; the next s cuts it, drops coin s, adds s+t+1.
+    weigh base = (k+1)s + sum_i (k+1-i) t_i.  `ways` counts the multisets of
+    coins s..s+t by sum to n_max - base: for s = 1 it adds the coins 1..t+1,
+    and each next s cuts it, drops coin s and adds coin s+t+1.
+
+    `ways` and `counts` pack coefficient j into bits [j*w, (j+1)*w), so each
+    pass is a masked shift and an add or subtract; adding coin c multiplies
+    by (1+q^c)(1+q^2c)(1+q^4c)... through the window.  This is exact because
+    every slot value ever formed, the doubling's partial products and the
+    partial sums of `counts` included, counts partitions of some j <= n_max
+    and so lies in [0, 2^w) (_slot_bits): no carry or borrow crosses a slot,
+    and dropping coin s leaves the counts of multisets without it, all >= 0.
     """
     spec = _coerce_spec(spec)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     t, step, base = spec.total, spec.k + 1, spec.min_weight
-    counts = [0] * (n_max + 1)
-    ways = _multiset_sums(range(1, t + 2), max(n_max - base, 0))
-    s = 1
+    w = _slot_bits(n_max, t)
+    ways, counts, coins, s = 1, 0, range(1, t + 2), 1
     while base <= n_max:
-        del ways[n_max - base + 1 :]
-        counts[base:] = map(operator.add, counts[base:], ways)
-        for j in range(len(ways) - 1, s - 1, -1):
-            ways[j] -= ways[j - s]
-        coin = s + t + 1
-        for j in range(coin, len(ways)):
-            ways[j] += ways[j - coin]
+        size = n_max - base + 1
+        mask = (1 << size * w) - 1
+        ways &= mask
+        for coin in coins:
+            shift = coin
+            while shift < size:
+                ways += (ways << shift * w) & mask
+                shift *= 2
+        counts += ways << base * w
+        ways -= (ways << s * w) & mask
+        coins = (s + t + 1,)
         base += step
         s += 1
-    return counts
+    slot_bytes = w // 8
+    packed = counts.to_bytes((n_max + 1) * slot_bytes, "little")
+    return [
+        int.from_bytes(packed[i : i + slot_bytes], "little")
+        for i in range(0, len(packed), slot_bytes)
+    ]
+
+
+def _slot_bits(n_max: int, t: int) -> int:
+    """Bits per slot, a multiple of 8: the smaller of two bounds on the count
+    of partitions of any j <= n_max into parts from t+1 consecutive values.
+    It is at most p(n_max) < e^(pi sqrt(2n/3)) < 2^sqrt(14n) (Apostol,
+    Introduction to Analytic Number Theory, Thm 14.5), and at most
+    (n_max+1) C(n_max+t+1, t+1): a window entry is a multiplicity vector of
+    t+1 coins with total <= n_max, and a count sums <= n_max+1 of them."""
+    partition = math.isqrt(14 * n_max) + 1
+    multiset = ((n_max + 1) * math.comb(n_max + t + 1, t + 1)).bit_length()
+    return -(-min(partition, multiset) // 8) * 8
 
 
 def count_specified(n: int, spec) -> int:

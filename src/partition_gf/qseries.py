@@ -50,13 +50,6 @@ class IntPolynomial:
             raise ValueError("monomial exponent must be >= 0")
         return cls([0] * exponent + [coefficient])
 
-    @classmethod
-    def one_minus_q_power(cls, m: int) -> IntPolynomial:
-        """The factor 1 - q^m, m >= 1."""
-        if m < 1:
-            raise InvalidExponent(f"exponent must be >= 1, got {m}")
-        return cls([1] + [0] * (m - 1) + [-1])
-
     @property
     def degree(self) -> int:
         """Index of the last nonzero coefficient; -1 for the zero polynomial."""
@@ -94,9 +87,6 @@ class IntPolynomial:
     def __sub__(self, other: IntPolynomial) -> IntPolynomial:
         return self + (-other)
 
-    def __mul__(self, other: IntPolynomial) -> IntPolynomial:
-        return poly_mul(self, other)
-
     def shift(self, exponent: int) -> IntPolynomial:
         """Multiply by q^exponent, exponent >= 0."""
         if exponent < 0:
@@ -129,20 +119,6 @@ class IntPolynomial:
 
 POLY_ZERO = IntPolynomial()
 POLY_ONE = IntPolynomial([1])
-
-
-def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Exact product; degree adds when both factors are nonzero."""
-    if a.is_zero() or b.is_zero():
-        return POLY_ZERO
-    out = [0] * (a.degree + b.degree + 1)
-    for i, ca in enumerate(a.coeffs):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b.coeffs):
-            if cb != 0:
-                out[i + j] += ca * cb
-    return IntPolynomial(out)
 
 
 class TruncatedSeries:
@@ -306,12 +282,6 @@ class FactoredRational:
             for _ in range(e):
                 _divide_by_one_minus_q_power(out, m)
         return TruncatedSeries(out)
-
-    def __mul__(self, other: FactoredRational) -> FactoredRational:
-        return FactoredRational(
-            self.numerator * other.numerator,
-            list(self.denominator) + list(other.denominator),
-        )
 
     def __add__(self, other: FactoredRational) -> FactoredRational:
         mine = dict(self.denominator)

@@ -5,6 +5,8 @@ import math
 import pytest
 
 from partition_gf.counting import (
+    _multiset_sums,
+    _slot_bits,
     count_specified,
     divisor_count,
     fixed_diff_table,
@@ -13,6 +15,7 @@ from partition_gf.counting import (
     total_partition_count,
 )
 from partition_gf.errors import InvalidDistance
+from partition_gf.genfun import DistanceSpec, direct_series_specified
 
 # Frozen from an independent raw enumeration of all partitions (filtering by
 # largest-smallest difference / milestone membership), computed before this
@@ -124,6 +127,37 @@ class TestNegativeNMax:
     def test_zero_is_the_empty_count(self):
         assert specified_table((2,), 0) == [0]
         assert fixed_diff_table(0, 0) == [0]
+
+
+# (30,), (100,) and (400,) are where the partition-number bound sets the
+# slot width; for the others the multiset bound is the smaller.
+PACKED_CASES = [((1,), 2000), ((5,), 2000), ((2, 2), 2000), ((1, 1, 1), 2000),
+                ((30,), 2000), ((100,), 2000), ((400,), 1000)]
+
+
+class TestPackedSlots:
+    """The packed table against the direct sum, a different recurrence in
+    list arithmetic, where a slot too narrow for its counts would corrupt
+    them."""
+
+    @pytest.mark.parametrize("spec, n_max", PACKED_CASES, ids=str)
+    def test_matches_direct_series(self, spec, n_max):
+        assert specified_table(spec, n_max) == list(direct_series_specified(spec, n_max).coeffs)
+
+    @pytest.mark.parametrize("spec", [spec for spec, _ in PACKED_CASES], ids=str)
+    def test_edges_of_the_first_window(self, spec):
+        first = DistanceSpec(spec).min_weight
+        for n_max in (0, 1, first - 1, first):
+            assert specified_table(spec, n_max) == list(direct_series_specified(spec, n_max).coeffs)
+        assert specified_table(spec, first)[first] == 1
+
+    def test_width_covers_partition_numbers(self):
+        # With t >= n - 1 the first window counts every partition of n.
+        totals = _multiset_sums(range(1, 2001), 2000)  # p(0..2000) in one pass
+        assert totals[100] == total_partition_count(100)
+        for n, p in enumerate(totals):
+            bits = _slot_bits(n, max(n - 1, 0))
+            assert bits % 8 == 0 and bits >= p.bit_length(), n
 
 
 class TestCountSpecified:
