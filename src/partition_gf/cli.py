@@ -318,17 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
         "difference or specified milestone distances, via mutually "
         "verifying enumeration, series, and quasipolynomial routes.",
     )
-    formatted = argparse.ArgumentParser(add_help=False)
-    formatted.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    fixtures = argparse.ArgumentParser(add_help=False)
-    fixtures.add_argument(
-        "--fixtures-dir",
-        default=None,
-        help="fixture directory (default: $PARTITION_GF_FIXTURES or packaged data)",
-    )
+    fixtures_help = "fixture directory (default: $PARTITION_GF_FIXTURES or packaged data)"
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("compute", parents=[formatted], help="count partitions for one n")
+    p = sub.add_parser("compute", help="count partitions for one n")
+    p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--distances", required=True, help="comma-separated, e.g. 2,2 (or 0 alone)")
     p.add_argument(
@@ -336,12 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("series", parents=[formatted], help="emit coefficients 0..N")
+    p = sub.add_parser("series", help="emit coefficients 0..N")
+    p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.add_argument("--distances", required=True)
     p.add_argument("--order", type=int, required=True)
     p.set_defaults(func=cmd_series)
 
-    p = sub.add_parser("verify", parents=[fixtures], help="run invariant suites")
+    p = sub.add_parser("verify", help="run invariant suites")
+    p.add_argument("--fixtures-dir", help=fixtures_help)
     p.add_argument(
         "--suite",
         choices=["routes", "identities", "asymptotics", "oeis", "all"],
@@ -358,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("oeis", parents=[fixtures], help="cross-check fixtures offline or fetch")
+    p = sub.add_parser("oeis", help="cross-check fixtures offline or fetch")
+    p.add_argument("--fixtures-dir", help=fixtures_help)
     p.add_argument("--id", action="append", help="sequence id, repeatable (default: all known)")
     p.add_argument("--n-max", type=int, default=400)
     p.add_argument("--fetch", action="store_true", help="refresh the fixture from --endpoint")

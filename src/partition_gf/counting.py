@@ -144,23 +144,28 @@ def specified_table(spec, n_max: int) -> list[int]:
     while base <= n_max:
         size = n_max - base + 1
         mask = (1 << size * w) - 1
-        ways &= mask
-        for coin in coins:
-            shift = coin
-            while shift < size:
-                ways += (ways << shift * w) & mask
-                shift *= 2
+        ways = _packed_divide(ways & mask, coins, mask, w)
         counts += ways << base * w
         ways -= (ways << s * w) & mask
         coins = (s + t + 1,)
-        base += step
-        s += 1
-    slot_bytes = w // 8
-    packed = counts.to_bytes((n_max + 1) * slot_bytes, "little")
-    return [
-        int.from_bytes(packed[i : i + slot_bytes], "little")
-        for i in range(0, len(packed), slot_bytes)
-    ]
+        base, s = base + step, s + 1
+    return _unpack(counts, n_max + 1, w)
+
+
+def _packed_divide(packed: int, powers, mask: int, w: int) -> int:
+    """packed / prod_{c in powers} (1-q^c) mod 2^(size*w) = mask + 1, w bits a slot: each
+    factor is (1+q^c)(1+q^2c)(1+q^4c)... through the window; carries past it are kept."""
+    for c in powers:
+        while c * w < mask.bit_length():
+            packed += (packed << c * w) & mask
+            c *= 2
+    return packed
+
+
+def _unpack(packed: int, size: int, w: int) -> list[int]:
+    """The low `size` slots of `packed`, w bits each (a multiple of 8), lowest first."""
+    raw, step = (packed & ((1 << size * w) - 1)).to_bytes(size * w // 8, "little"), w // 8
+    return [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
 
 
 def _slot_bits(n_max: int, t: int) -> int:
@@ -169,7 +174,8 @@ def _slot_bits(n_max: int, t: int) -> int:
     It is at most p(n_max) < e^(pi sqrt(2n/3)) < 2^sqrt(14n) (Apostol,
     Introduction to Analytic Number Theory, Thm 14.5), and at most
     (n_max+1) C(n_max+t+1, t+1): a window entry is a multiplicity vector of
-    t+1 coins with total <= n_max, and a count sums <= n_max+1 of them."""
+    t+1 coins with total <= n_max, and a count sums <= n_max+1 of them.
+    It sizes genfun's direct sum too: exact mod 2^(size*w), only its final counts must fit."""
     partition = math.isqrt(14 * n_max) + 1
     multiset = ((n_max + 1) * math.comb(n_max + t + 1, t + 1)).bit_length()
     return -(-min(partition, multiset) // 8) * 8

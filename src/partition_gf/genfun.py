@@ -4,8 +4,8 @@
 Every generating function is available by two routes that must agree:
 
 * a direct sum over the smallest part m, nested from the last summand that
-  reaches the truncation order down to m = 1, two in-place passes a level
-  (summand m+1 is summand m times q^{k+1}(1-q^m)/(1-q^{m+t+1})), and
+  reaches the order down to m = 1 in one packed integer, a few big-int shifts
+  a level (summand m+1 is summand m times q^{k+1}(1-q^m)/(1-q^{m+t+1})), and
 * a closed rational form with a (1-q^m)-product denominator.
 
 The closed form exists when the total distance t exceeds k (t > 1 for a
@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 
-from .counting import DistanceSpec, _coerce_spec, divisor_count  # DistanceSpec re-exported
+from .counting import DistanceSpec  # re-exported
+from .counting import _coerce_spec, _packed_divide, _slot_bits, _unpack, divisor_count
 from .errors import CutoffTooSmall, InvalidExponent, OutOfRange
 from .qseries import (
     FactoredRational,
@@ -43,21 +44,27 @@ def direct_series_specified(spec, order: int) -> TruncatedSeries:
     """Sum over the smallest part m of q^{(k+1)m + W} / prod_{j=0}^{t} (1-q^{m+j}),
     W the weighted milestone total; truncated at `order`.  Nested from the largest m
     that reaches the order: V_M = 1, V_m = 1 + q^{k+1}(1-q^m)/(1-q^{m+t+1}) V_{m+1},
-    V_m kept to length order - (k+1)m - W + 1; the sum is q^{k+1+W} V_1 / (q)_{t+1}."""
+    V_m kept to size = order - (k+1)m - W + 1 terms; the sum is q^{k+1+W} V_1 / (q)_{t+1}.
+    V is one integer, V(2^w) mod 2^{size*w}: q -> 2^w maps Z[q]/(q^size) onto
+    Z/2^{size*w} as a ring homomorphism and every step is a ring operation (the shift
+    by q^{k+1} lifts the residue to the larger size), so V's slots may go negative and
+    only the final counts, those `specified_table` returns, must fit w = _slot_bits."""
     spec = _coerce_spec(spec)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
     t, step, first = spec.total, spec.k + 1, spec.min_weight
     if first > order:
         return TruncatedSeries([0] * (order + 1))
-    nested = [1] + [0] * ((order - first) % step)  # V_M, M = (order - first) // step + 1
+    w = _slot_bits(order, t)
+    nested, size = 1, (order - first) % step + 1  # V_M, M = (order - first) // step + 1
     for m in range((order - first) // step, 0, -1):
-        _multiply_by_one_minus_q_power(nested, m)
-        _divide_by_one_minus_q_power(nested, m + t + 1)
-        nested[:0] = [1] + [0] * (step - 1)
-    for j in range(1, t + 2):
-        _divide_by_one_minus_q_power(nested, j)
-    return TruncatedSeries([0] * first + nested)
+        if m < size:  # else (1-q^m)/(1-q^{m+t+1}) is 1 mod q^size
+            mask = (1 << size * w) - 1
+            nested = (nested - ((nested << m * w) & mask)) & mask
+            nested = _packed_divide(nested, (m + t + 1,), mask, w)
+        nested, size = (nested << step * w) + 1, size + step
+    nested = _packed_divide(nested, range(1, t + 2), (1 << size * w) - 1, w)
+    return TruncatedSeries([0] * first + _unpack(nested, size, w))
 
 
 def closed_form_fixed_diff(t: int) -> FactoredRational:

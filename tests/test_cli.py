@@ -422,6 +422,64 @@ class TestOeisCommand:
         assert f"FAIL oeis/A000005: no fixture for A000005 at {tmp_path}" in out
 
 
+# Frozen `-h` output at 80 columns: `--format` and `--fixtures-dir` come first
+# in each subcommand that takes them.
+HELP = {
+    "compute": (
+        "usage: partition-gf compute [-h] [--format {text,csv,json}] --n N --distances\n"
+        "                            DISTANCES\n"
+        "                            [--method {enumerate,series,quasipoly,all}]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {text,csv,json}\n"
+        "  --n N\n"
+        "  --distances DISTANCES\n"
+        "                        comma-separated, e.g. 2,2 (or 0 alone)\n"
+        "  --method {enumerate,series,quasipoly,all}\n"
+    ),
+    "series": (
+        "usage: partition-gf series [-h] [--format {text,csv,json}] --distances\n"
+        "                           DISTANCES --order ORDER\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {text,csv,json}\n"
+        "  --distances DISTANCES\n"
+        "  --order ORDER\n"
+    ),
+    "verify": (
+        "usage: partition-gf verify [-h] [--fixtures-dir FIXTURES_DIR]\n"
+        "                           [--suite {routes,identities,asymptotics,oeis,all}]\n"
+        "                           [--t-max T_MAX] [--n-max N_MAX] [--order ORDER]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --fixtures-dir FIXTURES_DIR\n"
+        "                        fixture directory (default: $PARTITION_GF_FIXTURES or\n"
+        "                        packaged data)\n"
+        "  --suite {routes,identities,asymptotics,oeis,all}\n"
+        "  --t-max T_MAX\n"
+        "  --n-max N_MAX\n"
+        "  --order ORDER\n"
+    ),
+    "oeis": (
+        "usage: partition-gf oeis [-h] [--fixtures-dir FIXTURES_DIR] [--id ID]\n"
+        "                         [--n-max N_MAX] [--fetch] [--endpoint ENDPOINT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --fixtures-dir FIXTURES_DIR\n"
+        "                        fixture directory (default: $PARTITION_GF_FIXTURES or\n"
+        "                        packaged data)\n"
+        "  --id ID               sequence id, repeatable (default: all known)\n"
+        "  --n-max N_MAX\n"
+        "  --fetch               refresh the fixture from --endpoint\n"
+        "  --endpoint ENDPOINT   base URL serving b-files\n"
+    ),
+}
+
+
 class TestArgparseBehaviour:
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -450,3 +508,11 @@ class TestArgparseBehaviour:
             main(list(argv))
         assert excinfo.value.code == EXIT_USAGE
         assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(HELP))
+    def test_help_text(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "-h"])
+        assert excinfo.value.code == EXIT_OK
+        assert capsys.readouterr().out == HELP[command]

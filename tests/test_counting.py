@@ -1,9 +1,12 @@
 """Enumeration oracles against values frozen from raw partition listings."""
 
+import functools
 import math
 
 import pytest
 
+from partition_gf import genfun
+from partition_gf.cli import main
 from partition_gf.counting import (
     _multiset_sums,
     _slot_bits,
@@ -16,6 +19,7 @@ from partition_gf.counting import (
 )
 from partition_gf.errors import InvalidDistance
 from partition_gf.genfun import DistanceSpec, direct_series_specified
+from partition_gf.qseries import _divide_by_one_minus_q_power, _multiply_by_one_minus_q_power
 
 # Frozen from an independent raw enumeration of all partitions (filtering by
 # largest-smallest difference / milestone membership), computed before this
@@ -135,21 +139,65 @@ PACKED_CASES = [((1,), 2000), ((5,), 2000), ((2, 2), 2000), ((1, 1, 1), 2000),
                 ((30,), 2000), ((100,), 2000), ((400,), 1000)]
 
 
+@functools.cache
+def _list_nest(spec, order):
+    """The direct sum nested in list arithmetic, one in-place pass per
+    (1-q^m) factor: a reference that shares no packing with either route."""
+    spec = DistanceSpec(spec)
+    t, step, first = spec.total, spec.k + 1, spec.min_weight
+    if first > order:
+        return [0] * (order + 1)
+    nested = [1] + [0] * ((order - first) % step)  # V_M, M = (order - first) // step + 1
+    for m in range((order - first) // step, 0, -1):
+        _multiply_by_one_minus_q_power(nested, m)
+        _divide_by_one_minus_q_power(nested, m + t + 1)
+        nested[:0] = [1] + [0] * (step - 1)
+    for j in range(1, t + 2):
+        _divide_by_one_minus_q_power(nested, j)
+    return [0] * first + nested
+
+
 class TestPackedSlots:
-    """The packed table against the direct sum, a different recurrence in
-    list arithmetic, where a slot too narrow for its counts would corrupt
-    them."""
+    """Both packed routes, the table and the direct sum, against the direct
+    sum nested in list arithmetic, where a slot too narrow for its counts
+    would corrupt them.  They share the width (_slot_bits), so each is
+    checked against the list reference, not only against the other."""
 
     @pytest.mark.parametrize("spec, n_max", PACKED_CASES, ids=str)
     def test_matches_direct_series(self, spec, n_max):
-        assert specified_table(spec, n_max) == list(direct_series_specified(spec, n_max).coeffs)
+        reference = _list_nest(spec, n_max)
+        assert specified_table(spec, n_max) == reference
+        assert list(direct_series_specified(spec, n_max).coeffs) == reference
 
     @pytest.mark.parametrize("spec", [spec for spec, _ in PACKED_CASES], ids=str)
     def test_edges_of_the_first_window(self, spec):
         first = DistanceSpec(spec).min_weight
         for n_max in (0, 1, first - 1, first):
-            assert specified_table(spec, n_max) == list(direct_series_specified(spec, n_max).coeffs)
+            reference = _list_nest(spec, n_max)
+            assert specified_table(spec, n_max) == reference
+            assert list(direct_series_specified(spec, n_max).coeffs) == reference
         assert specified_table(spec, first)[first] == 1
+
+    # step = k+1 runs 2..7.  The orders give the early return, start lengths
+    # (order - first) % step + 1 of 1 and step with no level to nest, and
+    # start lengths 1 and 2 under one and two levels.
+    @pytest.mark.parametrize(
+        "spec", [(1,), (1, 1), (1, 1, 1), (1,) * 4, (1,) * 5, (1,) * 6, (2, 1, 1)], ids=str
+    )
+    def test_direct_series_start_lengths(self, spec):
+        first, step = DistanceSpec(spec).min_weight, len(spec) + 1
+        for order in (first - 1, first, first + step - 1, first + step, first + 2 * step + 1):
+            assert list(direct_series_specified(spec, order).coeffs) == _list_nest(spec, order)
+
+    def test_direct_series_width_is_what_keeps_it_exact(self, monkeypatch):
+        monkeypatch.setattr(genfun, "_slot_bits", lambda n_max, t: 8)
+        assert list(direct_series_specified((2, 2), 2000).coeffs) != _list_nest((2, 2), 2000)
+
+    def test_narrowed_direct_sum_fails_the_cli_route_check(self, capsys, monkeypatch):
+        # 1,1 has no closed form, so `compute --method series` reads the direct sum.
+        monkeypatch.setattr(genfun, "_slot_bits", lambda n_max, t: 8)
+        assert main(["compute", "--n", "2000", "--distances", "1,1", "--method", "all"]) == 1
+        assert "METHOD DISAGREEMENT" in capsys.readouterr().err
 
     def test_width_covers_partition_numbers(self):
         # With t >= n - 1 the first window counts every partition of n.
