@@ -20,7 +20,6 @@ from .counting import (
     divisor_count,
     fixed_diff_table,
     specified_table,
-    total_partition_count,
 )
 from .genfun import (
     DistanceSpec,
@@ -55,7 +54,6 @@ __all__ = [
     "divisor_count",
     "fixed_diff_table",
     "specified_table",
-    "total_partition_count",
     "DistanceSpec",
     "closed_form_fixed_diff",
     "closed_form_specified",

@@ -10,9 +10,16 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+
+# Not used here: argparse imports locale for its first message (through
+# gettext) and shutil for the terminal width of a parser.  Importing them
+# with the module keeps those imports out of each run of an already-imported
+# CLI, as in a process forked after start-up.
+import locale  # noqa: F401
+import shutil  # noqa: F401
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import counting, genfun, oeis, quasipoly
 from .counting import DistanceSpec
@@ -29,8 +36,7 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class OutputRecord:
+class OutputRecord(NamedTuple):
     """One computed value: the query echo, the route that produced it, and
     the value as a decimal string (no 64-bit cap assumed)."""
 
@@ -75,7 +81,7 @@ def _compute_record(n: int, distances: tuple[int, ...] | None, method: str) -> O
 
 def _emit_records(records: list[OutputRecord], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps([asdict(r) for r in records], indent=2))
+        print(json.dumps([r._asdict() for r in records], indent=2))
     elif fmt == "csv":
         print("n,distances,method,value")
         for r in records:
@@ -311,33 +317,26 @@ def cmd_oeis(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_VERIFY_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="partition-gf",
-        description="Exact partition counts with fixed largest-smallest "
-        "difference or specified milestone distances, via mutually "
-        "verifying enumeration, series, and quasipolynomial routes.",
-    )
-    fixtures_help = "fixture directory (default: $PARTITION_GF_FIXTURES or packaged data)"
-    sub = parser.add_subparsers(dest="command", required=True)
+_FIXTURES_HELP = "fixture directory (default: $PARTITION_GF_FIXTURES or packaged data)"
 
-    p = sub.add_parser("compute", help="count partitions for one n")
+
+def _compute_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--distances", required=True, help="comma-separated, e.g. 2,2 (or 0 alone)")
     p.add_argument(
         "--method", choices=["enumerate", "series", "quasipoly", "all"], default="enumerate"
     )
-    p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("series", help="emit coefficients 0..N")
+
+def _series_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.add_argument("--distances", required=True)
     p.add_argument("--order", type=int, required=True)
-    p.set_defaults(func=cmd_series)
 
-    p = sub.add_parser("verify", help="run invariant suites")
-    p.add_argument("--fixtures-dir", help=fixtures_help)
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--fixtures-dir", help=_FIXTURES_HELP)
     p.add_argument(
         "--suite",
         choices=["routes", "identities", "asymptotics", "oeis", "all"],
@@ -346,28 +345,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=int, default=6)
     p.add_argument("--n-max", type=int, default=120)
     p.add_argument("--order", type=int, default=60)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("fit", help="fit and emit a quasipolynomial")
+
+def _fit_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--distances", required=True)
     p.add_argument("--order", type=int, default=None, help="expansion order (default: auto)")
     p.add_argument("--output", default=None, help="write JSON here instead of stdout")
-    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("oeis", help="cross-check fixtures offline or fetch")
-    p.add_argument("--fixtures-dir", help=fixtures_help)
+
+def _oeis_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--fixtures-dir", help=_FIXTURES_HELP)
     p.add_argument("--id", action="append", help="sequence id, repeatable (default: all known)")
     p.add_argument("--n-max", type=int, default=400)
     p.add_argument("--fetch", action="store_true", help="refresh the fixture from --endpoint")
     p.add_argument("--endpoint", default=None, help="base URL serving b-files")
-    p.set_defaults(func=cmd_oeis)
 
+
+# name -> (help, add_arguments, func), in the order `-h` lists them.
+COMMANDS = {
+    "compute": ("count partitions for one n", _compute_arguments, cmd_compute),
+    "series": ("emit coefficients 0..N", _series_arguments, cmd_series),
+    "verify": ("run invariant suites", _verify_arguments, cmd_verify),
+    "fit": ("fit and emit a quasipolynomial", _fit_arguments, cmd_fit),
+    "oeis": ("cross-check fixtures offline or fetch", _oeis_arguments, cmd_oeis),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every command, or with `command` alone when it names
+    one, so that a run builds only the subparser it uses."""
+    parser = argparse.ArgumentParser(
+        prog="partition-gf",
+        description="Exact partition counts with fixed largest-smallest "
+        "difference or specified milestone distances, via mutually "
+        "verifying enumeration, series, and quasipolynomial routes.",
+    )
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # With one command registered, the metavar keeps every command in the
+    # usage line of its errors.  The full parser keeps the default: a
+    # metavar would change its "required" and "invalid choice" errors.
+    metavar = {"metavar": "{" + ",".join(COMMANDS) + "}"} if len(names) == 1 else {}
+    sub = parser.add_subparsers(dest="command", required=True, **metavar)
+    for name in names:
+        help_text, add_arguments, func = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, PeriodTooLarge) as exc:

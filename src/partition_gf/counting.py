@@ -12,8 +12,7 @@ shifts, masks and adds rather than a loop over coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import InvalidDistance
 
@@ -30,24 +29,6 @@ def divisor_count(n: int) -> int:
     return count
 
 
-def total_partition_count(n: int) -> int:
-    """The unrestricted partition number p(n); p(0) = 1."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return _multiset_sums(range(1, n + 1), n)[n]
-
-
-def _multiset_sums(parts: Sequence[int], total: int) -> list[int]:
-    # ways[j] = # multisets drawn from `parts` summing to j (unbounded coin DP)
-    ways = [0] * (total + 1)
-    ways[0] = 1
-    for part in parts:
-        for j in range(part, total + 1):
-            ways[j] += ways[j - part]
-    return ways
-
-
-@dataclass(frozen=True)
 class DistanceSpec:
     """A non-empty vector of positive distances (t1..tk); a fixed difference
     t is the one-distance spec (t,).
@@ -58,7 +39,7 @@ class DistanceSpec:
     the forced milestones.
     """
 
-    distances: tuple[int, ...]
+    __slots__ = ("distances",)
 
     def __init__(self, distances: Sequence[int]):
         distances = tuple(distances)
@@ -69,7 +50,16 @@ class DistanceSpec:
                 raise InvalidDistance(f"distances must be integers, got {d!r}")
             if d < 1:
                 raise InvalidDistance(f"distances must be >= 1, got {d}")
-        object.__setattr__(self, "distances", distances)
+        self.distances: tuple[int, ...] = distances
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, DistanceSpec) and self.distances == other.distances
+
+    def __hash__(self) -> int:
+        return hash((self.distances,))
+
+    def __repr__(self) -> str:
+        return f"DistanceSpec(distances={self.distances!r})"
 
     @property
     def total(self) -> int:
@@ -186,32 +176,3 @@ def count_specified(n: int, spec) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return specified_table(spec, n)[n]
-
-
-def iter_specified(n: int, spec) -> Iterator[tuple[int, ...]]:
-    """Yield the counted partitions themselves, nonincreasing tuples.
-
-    Diagnostic helper for tests; exponential in spirit but only used at small n.
-    """
-    spec = _coerce_spec(spec)
-    distances, t, k, weighted = spec.distances, spec.total, spec.k, spec.weighted_total
-    s = 1
-    while (k + 1) * s + weighted <= n:
-        milestones = [s]
-        for d in distances:
-            milestones.append(milestones[-1] + d)
-        remainder = n - sum(milestones)
-        allowed = list(range(s, s + t + 1))
-
-        def extend(rem: int, idx: int, extra: list[int]):
-            if rem == 0:
-                yield tuple(sorted(milestones + extra, reverse=True))
-                return
-            for i in range(idx, len(allowed)):
-                part = allowed[i]
-                if part > rem:
-                    break
-                yield from extend(rem - part, i, extra + [part])
-
-        yield from extend(remainder, 0, [])
-        s += 1

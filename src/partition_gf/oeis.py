@@ -17,13 +17,8 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
-import urllib.error
-import urllib.request
-from dataclasses import dataclass, field, replace
-from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from . import counting
 from .errors import CalibrationError, EmptyOverlap, NetworkError, NotFound, ParseError
@@ -52,22 +47,29 @@ CALIBRATION_N_MAX = 50
 _GENERATION_OFFSETS = {"A000005": 0, "A049820": 0, "A008805": -4, "A128508": 0}
 
 
-@dataclass(frozen=True)
 class SequenceFixture:
     """An (index, value) table whose value for counting argument n sits at
     index n + offset."""
 
-    id: str
-    entries: tuple[tuple[int, int], ...]
-    offset: int = 0
+    __slots__ = ("id", "entries", "offset", "_by_index")
 
-    _by_index: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        indices = [i for i, _ in self.entries]
+    def __init__(self, id: str, entries: tuple[tuple[int, int], ...], offset: int = 0):
+        indices = [i for i, _ in entries]
         if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise ParseError(f"{self.id}: indices must be strictly increasing")
-        object.__setattr__(self, "_by_index", dict(self.entries))
+            raise ParseError(f"{id}: indices must be strictly increasing")
+        self.id, self.entries, self.offset = id, entries, offset
+        self._by_index = dict(entries)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SequenceFixture) and (
+            (self.id, self.entries, self.offset) == (other.id, other.entries, other.offset)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.entries, self.offset))
+
+    def __repr__(self) -> str:
+        return f"SequenceFixture(id={self.id!r}, entries={self.entries!r}, offset={self.offset!r})"
 
 
 def bfile_name(sequence_id: str) -> str:
@@ -101,7 +103,7 @@ def default_fixtures_dir() -> Path:
     env = os.environ.get("PARTITION_GF_FIXTURES")
     if env:
         return Path(env)
-    return Path(str(resources.files("partition_gf") / "data"))
+    return Path(__file__).with_name("data")
 
 
 def load_fixture(sequence_id: str, fixtures_dir: str | Path | None = None) -> SequenceFixture:
@@ -157,7 +159,7 @@ def calibrate_offset(
             f"{fixture.id}: no offset aligns >= {min_matches} consecutive values "
             "with the reference"
         )
-    return replace(fixture, offset=best_offset)
+    return SequenceFixture(fixture.id, fixture.entries, best_offset)
 
 
 def oracle_values(sequence_id: str, n_max: int) -> dict[int, int]:
@@ -170,8 +172,7 @@ def oracle_values(sequence_id: str, n_max: int) -> dict[int, int]:
     return {n: table[n] for n in range(n_start, n_max + 1)}
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     sequence_id: str
     checked: int
     mismatches: tuple[tuple[int, int, int], ...]  # (n, fixture value, computed value)
@@ -240,6 +241,12 @@ def fetch_remote(
     .txt resource.  The raw text is parsed first and cached only on success,
     with a write-to-temp-then-rename so readers never see partial files.
     """
+    # Imported here, for --fetch alone: the network stack would add tens of
+    # milliseconds to every start of the command line.
+    import tempfile
+    import urllib.error
+    import urllib.request
+
     url = endpoint if endpoint.endswith(".txt") else endpoint.rstrip("/") + "/" + bfile_name(sequence_id)
     try:
         with urllib.request.urlopen(url, timeout=timeout) as response:

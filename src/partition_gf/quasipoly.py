@@ -14,7 +14,6 @@ degree/period hypothesis rather than being noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -35,27 +34,34 @@ from .genfun import closed_form_specified
 MAX_PERIOD = 27720
 
 
-@dataclass(frozen=True)
 class QuasiPolynomial:
     """period P, degree d, and P rows of d+1 exact rational coefficients,
     row r giving n -> sum_j c[r][j] n^j for n == r (mod P)."""
 
-    period: int
-    degree: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ("period", "degree", "rows")
 
-    def __post_init__(self):
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
-        if len(self.rows) != self.period:
-            raise ValueError(f"expected {self.period} rows, got {len(self.rows)}")
-        for row in self.rows:
-            if len(row) != self.degree + 1:
-                raise ValueError(
-                    f"every row needs {self.degree + 1} coefficients, got {len(row)}"
-                )
+    def __init__(self, period: int, degree: int, rows: tuple[tuple[Fraction, ...], ...]):
+        if period < 1:
+            raise ValueError(f"period must be >= 1, got {period}")
+        if degree < 0:
+            raise ValueError(f"degree must be >= 0, got {degree}")
+        if len(rows) != period:
+            raise ValueError(f"expected {period} rows, got {len(rows)}")
+        for row in rows:
+            if len(row) != degree + 1:
+                raise ValueError(f"every row needs {degree + 1} coefficients, got {len(row)}")
+        self.period, self.degree, self.rows = period, degree, rows
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, QuasiPolynomial) and (
+            (self.period, self.degree, self.rows) == (other.period, other.degree, other.rows)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.period, self.degree, self.rows))
+
+    def __repr__(self) -> str:
+        return f"QuasiPolynomial(period={self.period!r}, degree={self.degree!r}, rows={self.rows!r})"
 
     def evaluate(self, n: int) -> Fraction:
         """Exact value at n >= 1."""
@@ -283,19 +289,3 @@ def p22_explicit(n: int) -> int:
     if rem:
         raise InternalError(f"distance-(2,2) case value at n={n} is not divisible by 6912")
     return value
-
-
-def p3_quasipolynomial() -> QuasiPolynomial:
-    """The difference-3 case table as a QuasiPolynomial (period 6, degree 3)."""
-    rows = tuple(
-        tuple(Fraction(c, 108) for c in _P3_CASES[r]) for r in range(6)
-    )
-    return QuasiPolynomial(6, 3, rows)
-
-
-def p22_quasipolynomial() -> QuasiPolynomial:
-    """The distance-(2,2) case table as a QuasiPolynomial (period 12, degree 4)."""
-    rows = tuple(
-        tuple(Fraction(c, 6912) for c in _P22_CASES[r]) for r in range(12)
-    )
-    return QuasiPolynomial(12, 4, rows)

@@ -1,0 +1,67 @@
+"""Reference computations that only the tests read: the counted partitions
+listed one by one, the unrestricted partition numbers, and the paper's
+difference-3 and distance-(2,2) case tables as quasipolynomials."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterator, Sequence
+
+from partition_gf.counting import _coerce_spec
+from partition_gf.quasipoly import _P3_CASES, _P22_CASES, QuasiPolynomial
+
+
+def total_partition_count(n: int) -> int:
+    """The unrestricted partition number p(n); p(0) = 1."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return multiset_sums(range(1, n + 1), n)[n]
+
+
+def multiset_sums(parts: Sequence[int], total: int) -> list[int]:
+    # ways[j] = # multisets drawn from `parts` summing to j (unbounded coin DP)
+    ways = [0] * (total + 1)
+    ways[0] = 1
+    for part in parts:
+        for j in range(part, total + 1):
+            ways[j] += ways[j - part]
+    return ways
+
+
+def iter_specified(n: int, spec) -> Iterator[tuple[int, ...]]:
+    """Yield the partitions of n that realize the milestone distances,
+    nonincreasing tuples, by listing them: exponential, for small n only."""
+    spec = _coerce_spec(spec)
+    distances, t, k, weighted = spec.distances, spec.total, spec.k, spec.weighted_total
+    s = 1
+    while (k + 1) * s + weighted <= n:
+        milestones = [s]
+        for d in distances:
+            milestones.append(milestones[-1] + d)
+        remainder = n - sum(milestones)
+        allowed = list(range(s, s + t + 1))
+
+        def extend(rem: int, idx: int, extra: list[int]):
+            if rem == 0:
+                yield tuple(sorted(milestones + extra, reverse=True))
+                return
+            for i in range(idx, len(allowed)):
+                part = allowed[i]
+                if part > rem:
+                    break
+                yield from extend(rem - part, i, extra + [part])
+
+        yield from extend(remainder, 0, [])
+        s += 1
+
+
+def p3_quasipolynomial() -> QuasiPolynomial:
+    """The difference-3 case table as a QuasiPolynomial (period 6, degree 3)."""
+    rows = tuple(tuple(Fraction(c, 108) for c in _P3_CASES[r]) for r in range(6))
+    return QuasiPolynomial(6, 3, rows)
+
+
+def p22_quasipolynomial() -> QuasiPolynomial:
+    """The distance-(2,2) case table as a QuasiPolynomial (period 12, degree 4)."""
+    rows = tuple(tuple(Fraction(c, 6912) for c in _P22_CASES[r]) for r in range(12))
+    return QuasiPolynomial(12, 4, rows)

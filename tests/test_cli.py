@@ -12,6 +12,7 @@ from partition_gf.cli import (
     EXIT_USAGE,
     EXIT_VERIFY_FAIL,
     UsageError,
+    build_parser,
     main,
     parse_distances,
 )
@@ -480,7 +481,71 @@ HELP = {
 }
 
 
+USAGE = "usage: partition-gf [-h] {compute,series,verify,fit,oeis} ...\n"
+
+# Frozen top-level (exit code, stdout, stderr) at 80 columns.  Each run
+# builds only the parser of the command its first argument names, so the
+# usage line of an error after a command must still list every command.
+TOP_LEVEL = {
+    ("-h",): (
+        EXIT_OK,
+        USAGE + "\n"
+        "Exact partition counts with fixed largest-smallest difference or specified\n"
+        "milestone distances, via mutually verifying enumeration, series, and\n"
+        "quasipolynomial routes.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {compute,series,verify,fit,oeis}\n"
+        "    compute             count partitions for one n\n"
+        "    series              emit coefficients 0..N\n"
+        "    verify              run invariant suites\n"
+        "    fit                 fit and emit a quasipolynomial\n"
+        "    oeis                cross-check fixtures offline or fetch\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n",
+        "",
+    ),
+    (): (
+        EXIT_USAGE,
+        "",
+        USAGE + "partition-gf: error: the following arguments are required: command\n",
+    ),
+    ("comp",): (
+        EXIT_USAGE,
+        "",
+        USAGE + "partition-gf: error: argument command: invalid choice: 'comp' "
+        "(choose from 'compute', 'series', 'verify', 'fit', 'oeis')\n",
+    ),
+    ("compute", "--n", "5", "--distances", "2", "extra"): (
+        EXIT_USAGE,
+        "",
+        USAGE + "partition-gf: error: unrecognized arguments: extra\n",
+    ),
+}
+
+
 class TestArgparseBehaviour:
+    @pytest.mark.parametrize("argv", sorted(TOP_LEVEL), ids=lambda argv: " ".join(argv) or "none")
+    def test_top_level_output(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert (excinfo.value.code, captured.out, captured.err) == TOP_LEVEL[argv]
+
+    def test_a_run_builds_only_its_command(self):
+        def commands(parser):
+            return [a.choices for a in parser._actions if a.dest == "command"][0]
+
+        assert list(commands(build_parser("fit"))) == ["fit"]
+        assert list(commands(build_parser())) == ["compute", "series", "verify", "fit", "oeis"]
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["partition-gf", "compute", "--n", "11", "--distances", "2,2"])
+        assert main() == EXIT_OK
+        assert capsys.readouterr().out == "n=11 distances=2,2 method=enumerate value=2\n"
+
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])

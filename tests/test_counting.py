@@ -8,18 +8,16 @@ import pytest
 from partition_gf import genfun
 from partition_gf.cli import main
 from partition_gf.counting import (
-    _multiset_sums,
     _slot_bits,
     count_specified,
     divisor_count,
     fixed_diff_table,
-    iter_specified,
     specified_table,
-    total_partition_count,
 )
 from partition_gf.errors import InvalidDistance
 from partition_gf.genfun import DistanceSpec, direct_series_specified
 from partition_gf.qseries import _divide_by_one_minus_q_power, _multiply_by_one_minus_q_power
+from reference import iter_specified, multiset_sums, total_partition_count
 
 # Frozen from an independent raw enumeration of all partitions (filtering by
 # largest-smallest difference / milestone membership), computed before this
@@ -201,7 +199,7 @@ class TestPackedSlots:
 
     def test_width_covers_partition_numbers(self):
         # With t >= n - 1 the first window counts every partition of n.
-        totals = _multiset_sums(range(1, 2001), 2000)  # p(0..2000) in one pass
+        totals = multiset_sums(range(1, 2001), 2000)  # p(0..2000) in one pass
         assert totals[100] == total_partition_count(100)
         for n, p in enumerate(totals):
             bits = _slot_bits(n, max(n - 1, 0))

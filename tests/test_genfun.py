@@ -8,12 +8,7 @@ import itertools
 import pytest
 
 from partition_gf import cli, genfun
-from partition_gf.counting import (
-    divisor_count,
-    fixed_diff_table,
-    iter_specified,
-    specified_table,
-)
+from partition_gf.counting import divisor_count, fixed_diff_table, specified_table
 from partition_gf.errors import (
     CutoffTooSmall,
     InvalidDistance,
@@ -31,6 +26,7 @@ from partition_gf.genfun import (
     series,
 )
 from partition_gf.qseries import IntPolynomial, gauss_binomial, pochhammer_q
+from reference import iter_specified
 
 
 class TestDistanceSpec:

