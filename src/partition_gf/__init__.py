@@ -36,7 +36,6 @@ from .qseries import (
     TruncatedSeries,
     gauss_binomial,
     pochhammer_q,
-    pochhammer_shifted,
 )
 from .quasipoly import (
     QuasiPolynomial,
@@ -66,7 +65,6 @@ __all__ = [
     "TruncatedSeries",
     "gauss_binomial",
     "pochhammer_q",
-    "pochhammer_shifted",
     "QuasiPolynomial",
     "expected_leading",
     "fit",

@@ -29,10 +29,6 @@ class PeriodTooLarge(PartitionGFError):
     """A quasipolynomial period lcm(1..t) exceeds the supported cap."""
 
 
-class CutoffTooSmall(PartitionGFError):
-    """A term cutoff omits terms that still contribute below the order."""
-
-
 class InsufficientSamples(PartitionGFError):
     """A residue class has fewer sample points than degree + 1."""
 

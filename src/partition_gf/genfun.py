@@ -26,8 +26,9 @@ import math
 
 from .counting import DistanceSpec  # re-exported
 from .counting import _coerce_spec, _packed_divide, _slot_bits, _unpack, divisor_count
-from .errors import CutoffTooSmall, InvalidExponent, OutOfRange
+from .errors import InvalidExponent, OutOfRange
 from .qseries import (
+    POLY_ONE,
     FactoredRational,
     IntPolynomial,
     TruncatedSeries,
@@ -74,20 +75,23 @@ def closed_form_fixed_diff(t: int) -> FactoredRational:
       - q^{t-1}(1-q) / ((1-q^t)(1-q^{t-1}) (q)_t)
       + q^t / ((1-q^{t-1}) (q)_t)
 
-    combined over a common denominator and reduced.  For t = 0, 1 the series
-    is not rational and this raises OutOfRange.
+    built as one numerator over the one denominator the three terms share,
+
+        ( q^{t-1}(1-q)((q)_t - 1) + q^t(1-q^t) ) / ( (1-q^{t-1})(1-q^t)(q)_t ),
+
+    and reduced.  For t = 0, 1 the series is not rational and this raises
+    OutOfRange.
     """
     if t <= 1:
         raise OutOfRange(
             f"closed form requires difference > 1 (got {t}); the t=0 and t=1 "
             "series have non-polar singularities and stay non-rational"
         )
+    poch_minus_one = (pochhammer_q(t) - POLY_ONE).coeffs
+    numerator = IntPolynomial(_times_one_minus_q_powers(poch_minus_one, (1,))).shift(t - 1)
+    numerator = numerator + IntPolynomial.monomial(t) - IntPolynomial.monomial(2 * t)
     poch = [(m, 1) for m in range(1, t + 1)]
-    lead = IntPolynomial.monomial(t - 1) - IntPolynomial.monomial(t)  # q^{t-1}(1-q)
-    term1 = FactoredRational(lead, [(t - 1, 1), (t, 1)])
-    term2 = FactoredRational(-lead, [(t - 1, 1), (t, 1)] + poch)
-    term3 = FactoredRational(IntPolynomial.monomial(t), [(t - 1, 1)] + poch)
-    return (term1 + term2 + term3).reduce()
+    return FactoredRational(numerator, [(t - 1, 1), (t, 1)] + poch).reduce()
 
 
 def closed_form_specified(spec) -> FactoredRational:
@@ -131,16 +135,13 @@ def series(spec, order: int) -> TruncatedSeries:
     return direct_series_specified(spec, order)
 
 
-def qbinomial_alternating_sum(t: int, j_min: int = 0) -> IntPolynomial:
-    """sum_{j=j_min}^{t} [t,j] (-1)^j q^{C(j+1,2)} as an exact polynomial.
-
-    With j_min = 0 the q-binomial theorem collapses this to (q)_t.
+def qbinomial_alternating_sum(t: int) -> IntPolynomial:
+    """sum_{j=0}^{t} [t,j] (-1)^j q^{C(j+1,2)} as an exact polynomial, which
+    the q-binomial theorem collapses to (q)_t.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    if not 0 <= j_min <= t + 1:
-        raise ValueError(f"j_min must be in 0..{t + 1}, got {j_min}")
-    return _alternating_sum(t, range(j_min, t + 1))
+    return _alternating_sum(t, range(t + 1))
 
 
 def _alternating_sum(t: int, js: range) -> IntPolynomial:
@@ -177,9 +178,7 @@ def p1_identity_check(order: int) -> bool:
     return summed == subtracted == counted
 
 
-def heine_check(
-    a_exp: int, b_exp: int, c_exp: int, z_exp: int, order: int, cutoff: int
-) -> bool:
+def heine_check(a_exp: int, b_exp: int, c_exp: int, z_exp: int, order: int) -> bool:
     """Verify Heine's transformation at a = q^a_exp, b = q^b_exp, c = q^c_exp,
     z = q^z_exp through q^order:
 
@@ -187,11 +186,11 @@ def heine_check(
           = (c/b)_oo (bz)_oo / ((c)_oo (z)_oo)
             * sum_{j>=0} (abz/c)_j (b)_j (c/b)^j / ((q)_j (bz)_j)
 
-    The left sum is cut at `cutoff` terms past m=0; since the m-th term starts
-    exactly at q^{z_exp * m}, CutoffTooSmall is raised when term cutoff+1 still
-    reaches the order.  The two sides are computed independently, each term
-    stepped from the one before by its ratio, one in-place (1-q^e) pass per
-    factor.  At integer exponents the infinite products telescope to
+    The m-th term of the left sum starts exactly at q^{z_exp * m}, so the sum
+    stops at m = order // z_exp, the last term that reaches the order.  The
+    two sides are computed independently, each term stepped from the one
+    before by its ratio, one in-place (1-q^e) pass per factor.  At integer
+    exponents the infinite products telescope to
     prod_{e=c-b}^{c-1} (1-q^e) / prod_{e=z}^{z+b-1} (1-q^e), 2b passes.  The
     right sum's (abz/c)_j may involve q to negative powers; each such factor
     1 - q^{-e} is rewritten as -q^{-e}(1 - q^e).  Term j then starts at
@@ -208,22 +207,15 @@ def heine_check(
         )
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    if z_exp * (cutoff + 1) <= order:
-        raise CutoffTooSmall(
-            f"term {cutoff + 1} starts at q^{z_exp * (cutoff + 1)} <= order {order}"
-        )
 
     lhs = [0] * (order + 1)
     term = [1] + [0] * order  # m = 0
-    for m in range(0, cutoff + 1):
+    for m in range(0, order // z_exp + 1):
         if m > 0:
             # term_m = term_{m-1} * (1-q^{a+m-1})(1-q^{b+m-1}) q^z / ((1-q^m)(1-q^{c+m-1}))
             _multiply_by_one_minus_q_power(term, a_exp + m - 1)
             _multiply_by_one_minus_q_power(term, b_exp + m - 1)
-            if z_exp > order:
-                term = [0] * (order + 1)
-            else:
-                term = [0] * z_exp + term[: order + 1 - z_exp]
+            term = [0] * z_exp + term[: order + 1 - z_exp]  # m >= 1 only if z_exp <= order
             _divide_by_one_minus_q_power(term, m)
             _divide_by_one_minus_q_power(term, c_exp + m - 1)
         for j in range(order + 1):

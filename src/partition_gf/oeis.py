@@ -39,8 +39,10 @@ KNOWN_SEQUENCES: dict[str, tuple[str, Callable[[int], list[int]], int]] = {
     "A128508": ("difference-3 partition counts", lambda n_max: counting.fixed_diff_table(3, n_max), 5),
 }
 
-# Calibration matches the oracle's values at n <= CALIBRATION_N_MAX.
+# Calibration matches the oracle's values at n <= CALIBRATION_N_MAX, and an
+# offset must align at least CALIBRATION_MIN_RUN consecutive values.
 CALIBRATION_N_MAX = 50
+CALIBRATION_MIN_RUN = 10
 
 # Index written for the first oracle n when regenerating a fixture locally
 # (the real OEIS offsets: A008805 starts at index 0 with its n=4 value).
@@ -115,13 +117,9 @@ def load_fixture(sequence_id: str, fixtures_dir: str | Path | None = None) -> Se
     return parse_bfile(path.read_text(encoding="utf-8"), sequence_id)
 
 
-def calibrate_offset(
-    fixture: SequenceFixture,
-    reference: Mapping[int, int],
-    min_matches: int = 10,
-) -> SequenceFixture:
+def calibrate_offset(fixture: SequenceFixture, reference: Mapping[int, int]) -> SequenceFixture:
     """Find the offset b with fixture[n + b] == reference[n] on at least
-    min_matches consecutive n.
+    CALIBRATION_MIN_RUN consecutive n.
 
     A candidate offset must agree on its entire overlap with the reference;
     among consistent candidates the largest overlap wins (then the smallest
@@ -149,14 +147,14 @@ def calibrate_offset(
             total += 1
             longest = max(longest, run)
         else:  # no disagreement anywhere in the overlap
-            if total > 0 and longest >= min_matches:
+            if total > 0 and longest >= CALIBRATION_MIN_RUN:
                 score = (total, -abs(offset))
                 if best is None or score > best:
                     best = score
                     best_offset = offset
     if best_offset is None:
         raise CalibrationError(
-            f"{fixture.id}: no offset aligns >= {min_matches} consecutive values "
+            f"{fixture.id}: no offset aligns >= {CALIBRATION_MIN_RUN} consecutive values "
             "with the reference"
         )
     return SequenceFixture(fixture.id, fixture.entries, best_offset)

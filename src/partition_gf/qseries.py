@@ -45,10 +45,10 @@ class IntPolynomial:
         self.coeffs: tuple[int, ...] = _trim([int(c) for c in coeffs])
 
     @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> IntPolynomial:
+    def monomial(cls, exponent: int) -> IntPolynomial:
         if exponent < 0:
             raise ValueError("monomial exponent must be >= 0")
-        return cls([0] * exponent + [coefficient])
+        return cls([0] * exponent + [1])
 
     @property
     def degree(self) -> int:
@@ -197,16 +197,9 @@ def _times_ratio(coeffs, up: int, down: int) -> list[int]:
 
 def pochhammer_q(m: int) -> IntPolynomial:
     """(1-q)(1-q^2)...(1-q^m); the empty product 1 for m=0.  Degree m(m+1)/2."""
-    return pochhammer_shifted(1, m)
-
-
-def pochhammer_shifted(a: int, m: int) -> IntPolynomial:
-    """prod_{j=0}^{m-1} (1 - q^{a+j}) for a >= 1; specializes to pochhammer_q at a=1."""
-    if a < 1:
-        raise InvalidExponent(f"starting exponent must be >= 1, got {a}")
     if m < 0:
         raise ValueError(f"number of factors must be >= 0, got {m}")
-    return IntPolynomial(_times_one_minus_q_powers([1], range(a, a + m)))
+    return IntPolynomial(_times_one_minus_q_powers([1], range(1, m + 1)))
 
 
 def gauss_binomial(top: int, bottom: int) -> IntPolynomial:
@@ -283,21 +276,6 @@ class FactoredRational:
                 _divide_by_one_minus_q_power(out, m)
         return TruncatedSeries(out)
 
-    def __add__(self, other: FactoredRational) -> FactoredRational:
-        mine = dict(self.denominator)
-        theirs = dict(other.denominator)
-        common = {m: max(mine.get(m, 0), theirs.get(m, 0)) for m in set(mine) | set(theirs)}
-        left = _times_one_minus_q_powers(self.numerator, _cofactor(common, mine))
-        right = _times_one_minus_q_powers(other.numerator, _cofactor(common, theirs))
-        total = IntPolynomial(left) + IntPolynomial(right)
-        return FactoredRational(total, [(m, e) for m, e in common.items() if e > 0])
-
-    def __neg__(self) -> FactoredRational:
-        return FactoredRational(-self.numerator, self.denominator)
-
-    def __sub__(self, other: FactoredRational) -> FactoredRational:
-        return self + (-other)
-
     def reduce(self) -> FactoredRational:
         """Cancel denominator factors that divide the numerator exactly.
 
@@ -335,8 +313,3 @@ class FactoredRational:
             f"(1-q^{m})" + (f"^{e}" if e > 1 else "") for m, e in self.denominator
         )
         return f"FactoredRational({self.numerator!r} / {factors})"
-
-
-def _cofactor(common: dict[int, int], part: dict[int, int]) -> list[int]:
-    """The exponents m of the factors 1 - q^m that `common` has beyond `part`."""
-    return [m for m, e in common.items() for _ in range(e - part.get(m, 0))]

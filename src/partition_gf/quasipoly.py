@@ -1,21 +1,22 @@
 """Quasipolynomials with exact rational coefficients: evaluation, exact
-interpolation from counted values, fits driven by the closed-form series,
+interpolation from a coefficient list, fits driven by the closed-form series,
 and the explicit residue-class formulas for difference 3 and distances (2,2).
 
 A quasipolynomial of period P and degree d keeps one coefficient row per
 residue class mod P; evaluation picks the row for n mod P and evaluates the
-polynomial at n.  Fitting takes integer forward differences along each class
-n = r + jP: the first d+1 give the Newton form in j, turned into rows only
-for output, and every (d+1)-th difference must vanish.  A nonzero one raises
-instead of being averaged away, because an inconsistency falsifies the
-degree/period hypothesis rather than being noise.
+polynomial at n.  Fitting reads a coefficient list, the count at n at index
+n (index 0 not read), and takes integer forward differences along each class
+n = r + jP, r in 1..P: the first d+1 give the Newton form in j, turned into
+rows only for output, and every (d+1)-th difference must vanish.  A nonzero
+one raises instead of being averaged away, because an inconsistency falsifies
+the degree/period hypothesis rather than being noise.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import (
     InconsistentSamples,
@@ -92,7 +93,7 @@ class QuasiPolynomial:
         }
 
     @classmethod
-    def from_json_dict(cls, data: Mapping) -> QuasiPolynomial:
+    def from_json_dict(cls, data: dict) -> QuasiPolynomial:
         rows = tuple(
             tuple(Fraction(entry) for entry in row) for row in data["rows"]
         )
@@ -115,43 +116,36 @@ def _newton_row(start: int, step: int, diffs: Sequence[int]) -> tuple[Fraction, 
     return tuple(Fraction(c, denom) for c in numer)
 
 
-def fit(values: Mapping[int, int], degree: int, period: int) -> QuasiPolynomial:
-    """Interpolate a quasipolynomial of the given degree and period from exact
-    sample values (a mapping n -> integer).
+def fit(values: Sequence[int], degree: int, period: int) -> QuasiPolynomial:
+    """Interpolate a quasipolynomial of the given degree and period from the
+    coefficient list: values[n] is the count at n, and index 0 is not read.
+    Residue class r is values[r or period::period], from n = r or period on.
 
-    Each residue class needs degree+1 samples or more (InsufficientSamples),
-    one period apart (ValueError on a gap); a nonzero (degree+1)-th forward
-    difference raises InconsistentSamples at the first sample it falsifies.
+    Each residue class needs degree+1 samples or more (InsufficientSamples);
+    a nonzero (degree+1)-th forward difference raises InconsistentSamples at
+    the first sample it falsifies.
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
-    classes: list[list[tuple[int, int]]] = [[] for _ in range(period)]
-    for n, v in values.items():
-        classes[n % period].append((n, v))
     rows = []
-    for r, samples in enumerate(classes):
+    for r in range(period):
+        start = r or period
+        samples = values[start::period]
         if len(samples) < degree + 1:
             raise InsufficientSamples(
                 f"residue class {r} mod {period} has {len(samples)} samples, "
                 f"needs {degree + 1}"
             )
-        samples.sort()
-        start = samples[0][0]
-        for j, (n, _) in enumerate(samples):
-            if n != start + j * period:
-                raise ValueError(
-                    f"residue class {r} mod {period} is missing n={start + j * period}"
-                )
-        level = [v for _, v in samples]
+        level = samples
         leading = []
         for _ in range(degree + 1):
             leading.append(level[0])
             level = [b - a for a, b in zip(level, level[1:])]
         for j, delta in enumerate(level):
             if delta:
-                n, v = samples[j + degree + 1]
+                n, v = start + (j + degree + 1) * period, samples[j + degree + 1]
                 raise InconsistentSamples(
                     f"degree {degree}, period {period} cannot hold: at n={n} "
                     f"the residue-{r} fit gives {v - delta}, sample says {v}"
@@ -198,9 +192,7 @@ def from_closed_form(spec, order: int | None = None) -> QuasiPolynomial:
             f"order {order} cannot feed {t + 1} samples to every residue class "
             f"mod {period}; need >= {required}"
         )
-    series = closed_form_specified(spec).expand(order)
-    values = {n: series[n] for n in range(1, order + 1)}
-    return fit(values, t, period)
+    return fit(closed_form_specified(spec).expand(order).coeffs, t, period)
 
 
 def expected_leading(t: int) -> Fraction:

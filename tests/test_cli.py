@@ -1,6 +1,8 @@
 """Command-line surface: formats, exit codes, and the verify suites."""
 
 import json
+import shlex
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -581,3 +583,36 @@ class TestArgparseBehaviour:
             main([command, "-h"])
         assert excinfo.value.code == EXIT_OK
         assert capsys.readouterr().out == HELP[command]
+
+
+def _readme_command_lines():
+    """The `partition-gf ...` lines of README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("partition-gf ")]
+
+
+# A result a README comment states, and the output line that shows it.
+README_CLAIMS = {
+    "difference zero: d(6) = 4": "n=6 distances=0 method=enumerate value=4",
+    "0,0,0,0,1,1,3,3,6": "0,0,0,0,1,1,3,3,6",
+    "period=6 degree=3 leading=1/108": "period=6 degree=3 leading=1/108",
+}
+
+
+class TestReadmeCommandLine:
+    @pytest.mark.parametrize("line", _readme_command_lines(), ids=lambda line: line.split("#")[0].strip())
+    def test_runs_and_shows_its_comment(self, capsys, monkeypatch, tmp_path, line):
+        monkeypatch.chdir(tmp_path)  # fit --output p3.json lands here
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)[1:]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK, err
+        if "--output" in argv:
+            assert (tmp_path / argv[argv.index("--output") + 1]).is_file()
+        if comment.strip() in README_CLAIMS:
+            assert README_CLAIMS[comment.strip()] in out.splitlines()
+
+    def test_every_claim_is_in_the_block(self):
+        comments = {line.partition("#")[2].strip() for line in _readme_command_lines()}
+        assert set(README_CLAIMS) <= comments

@@ -127,7 +127,7 @@ class TestCalibration:
     def test_no_alignment_raises(self):
         fixture = oeis.parse_bfile("1 10\n2 20\n3 30\n", "A000005")
         with pytest.raises(CalibrationError):
-            oeis.calibrate_offset(fixture, {n: n * n for n in range(1, 20)}, min_matches=3)
+            oeis.calibrate_offset(fixture, {n: n * n for n in range(1, 20)})
 
     @staticmethod
     def _blocks(*blocks):

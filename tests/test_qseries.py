@@ -18,7 +18,6 @@ from partition_gf.qseries import (
     gauss_binomial,
     gauss_binomial_pascal,
     pochhammer_q,
-    pochhammer_shifted,
 )
 
 
@@ -151,7 +150,7 @@ class TestSeriesDivision:
         assert coeffs == [1, 1, 1, 1, 1]
 
     def test_self_division_is_one(self):
-        coeffs = [pochhammer_shifted(2, 3)[i] for i in range(6)]
+        coeffs = [times_factors(P(1), 2, 3, 4)[i] for i in range(6)]
         for m in (2, 3, 4):
             _divide_by_one_minus_q_power(coeffs, m)
         assert coeffs == [1, 0, 0, 0, 0, 0]
@@ -206,43 +205,25 @@ class TestPochhammer:
         else:
             assert pochhammer_q(m).degree == m * (m + 1) // 2
 
-    def test_shifted_single_factor(self):
-        assert pochhammer_shifted(2, 1) == P(1, 0, -1)
-
-    @pytest.mark.parametrize("m", range(6))
+    @pytest.mark.parametrize("m", range(12))
     def test_shifted_specializes_at_one(self, m):
-        assert pochhammer_shifted(1, m) == pochhammer_q(m)
-
-    def test_shifted_hand_expansion(self):
-        # (1-q^3)(1-q^4) = 1 - q^3 - q^4 + q^7
-        assert pochhammer_shifted(3, 2) == P(1, 0, 0, -1, -1, 0, 0, 1)
-
-    @pytest.mark.parametrize("a", [1, 2, 5])
-    def test_shifted_matches_factor_by_factor_product(self, a):
-        product = P(1)
-        for m in range(12):
-            assert pochhammer_shifted(a, m) == product
-            product = schoolbook_product(product, one_minus_q(a + m))
+        # the shifted product prod_{j<m} (1 - q^{a+j}) at a = 1, factor by factor
+        product = functools.reduce(schoolbook_product, (one_minus_q(1 + j) for j in range(m)), P(1))
+        assert pochhammer_q(m) == product
 
     def test_negative_factor_count_rejected(self):
         with pytest.raises(ValueError):
             pochhammer_q(-1)
-        with pytest.raises(ValueError):
-            pochhammer_shifted(2, -1)
 
     # (q^a; q)_oo modulo q^{N+1} is the finite product of its factors up to q^N.
     def test_infinite_beyond_order_is_one(self):
-        assert FactoredRational(pochhammer_shifted(9, 3)).expand(5) == TruncatedSeries([1, 0, 0, 0, 0, 0])
+        assert FactoredRational(times_factors(P(1), 9, 10, 11)).expand(5) == TruncatedSeries([1, 0, 0, 0, 0, 0])
 
     def test_infinite_pentagonal_prefix(self):
         assert FactoredRational(pochhammer_q(5)).expand(5).coeffs == (1, -1, -1, 0, 0, 1)
 
     def test_infinite_shifted(self):
-        assert FactoredRational(pochhammer_shifted(2, 2)).expand(3).coeffs == (1, 0, -1, -1)
-
-    def test_infinite_rejects_nonpositive(self):
-        with pytest.raises(InvalidExponent):
-            pochhammer_shifted(0, 4)
+        assert FactoredRational(times_factors(P(1), 2, 3)).expand(3).coeffs == (1, 0, -1, -1)
 
 
 class TestGaussBinomial:
@@ -315,13 +296,6 @@ class TestFactoredRational:
         ).expand(20)
         right = truncated_product(a.expand(20), b.expand(20), 20)
         assert left == right
-
-    def test_addition(self):
-        a = FactoredRational(P(1), [(1, 1)])
-        b = FactoredRational(P(0, 1), [(2, 1)])
-        total = a + b
-        termwise = [x + y for x, y in zip(a.expand(10).coeffs, b.expand(10).coeffs)]
-        assert total.expand(10) == TruncatedSeries(termwise)
 
     def test_expand_rejects_negative_order(self):
         with pytest.raises(ValueError, match=r"^order must be >= 0, got -1$"):
