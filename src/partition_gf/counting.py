@@ -113,33 +113,30 @@ def specified_table(spec, n_max: int) -> list[int]:
 
     With smallest part s, the k+1 milestones s, s+t1, s+t1+t2, ... each occur
     at least once and every other part lies in [s, s+t]; the forced milestones
-    weigh base = (k+1)s + sum_i (k+1-i) t_i.  `ways` counts the multisets of
-    coins s..s+t by sum to n_max - base: for s = 1 it adds the coins 1..t+1,
-    and each next s cuts it, drops coin s and adds coin s+t+1.
-
-    `ways` and `counts` pack coefficient j into bits [j*w, (j+1)*w), so each
-    pass is a masked shift and an add or subtract; adding coin c multiplies
-    by (1+q^c)(1+q^2c)(1+q^4c)... through the window.  This is exact because
-    every slot value ever formed, the doubling's partial products and the
-    partial sums of `counts` included, counts partitions of some j <= n_max
-    and so lies in [0, 2^w) (_slot_bits): no carry or borrow crosses a slot,
-    and dropping coin s leaves the counts of multisets without it, all >= 0.
+    weigh base = (k+1)s + sum_i (k+1-i) t_i.  `counts` packs coefficient j
+    into bits [j*w, (j+1)*w) and adds each coin window (_windows) at its base.
     """
     spec = _coerce_spec(spec)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    w = _slot_bits(n_max, spec.total)
+    counts = sum(ways << base * w for base, ways in _windows(spec, n_max, w))
+    return _unpack(counts, n_max + 1, w)
+
+
+def _windows(spec: DistanceSpec, n_max: int, w: int):
+    """(base, ways) for each smallest part s with base <= n_max: `ways` packs the multisets
+    of coins s..s+t by sum j <= n_max - base.  For s = 1 it adds coins 1..t+1; each next s
+    cuts it, drops coin s by a masked shifted subtract and adds coin s+t+1 (_packed_divide)."""
     t, step, base = spec.total, spec.k + 1, spec.min_weight
-    w = _slot_bits(n_max, t)
-    ways, counts, coins, s = 1, 0, range(1, t + 2), 1
+    ways, coins, s = 1, range(1, t + 2), 1
     while base <= n_max:
-        size = n_max - base + 1
-        mask = (1 << size * w) - 1
+        mask = (1 << (n_max - base + 1) * w) - 1
         ways = _packed_divide(ways & mask, coins, mask, w)
-        counts += ways << base * w
+        yield base, ways
         ways -= (ways << s * w) & mask
         coins = (s + t + 1,)
         base, s = base + step, s + 1
-    return _unpack(counts, n_max + 1, w)
 
 
 def _packed_divide(packed: int, powers, mask: int, w: int) -> int:
@@ -159,20 +156,29 @@ def _unpack(packed: int, size: int, w: int) -> list[int]:
 
 
 def _slot_bits(n_max: int, t: int) -> int:
-    """Bits per slot, a multiple of 8: the smaller of two bounds on the count
-    of partitions of any j <= n_max into parts from t+1 consecutive values.
-    It is at most p(n_max) < e^(pi sqrt(2n/3)) < 2^sqrt(14n) (Apostol,
-    Introduction to Analytic Number Theory, Thm 14.5), and at most
-    (n_max+1) C(n_max+t+1, t+1): a window entry is a multiplicity vector of
-    t+1 coins with total <= n_max, and a count sums <= n_max+1 of them.
+    """Bits per slot, a multiple of 8, so that no carry or borrow crosses a slot.
+    A count of partitions of j <= n_max into t+1 consecutive part values is at most
+    p(n_max) < e^(pi sqrt(2n/3)) < 2^sqrt(14n) (Apostol, Introduction to Analytic Number
+    Theory, Thm 14.5) and, with m = min(t, n_max) + 1, at most (n_max+1) ceil(V) for
+    V = (n_max + m(m+1)/2 - 1)^(m-1) / ((m-1)! m!), the volume in step 2 at j = n_max:
+    1. A window for smallest part s counts at most p_{<=m}(j): x_i copies of s+i
+       (none above j) map one to one to x_i copies of i+1 plus (s-1) sum x_i ones.
+    2. p_{<=m}(j) <= vol {y >= 0 : sum_{i=2..m} i y_i <= j + sum_{i=2..m} i}: x_1 is
+       fixed by the others, and their unit cubes are disjoint, inside it (Nathanson 2000).
+    3. The doubling's partial products, a window after dropping coin s and the partial
+       sums of the counts are >= 0 and at most a final count, <= n_max+1 window entries.
     It sizes genfun's direct sum too: exact mod 2^(size*w), only its final counts must fit."""
+    m = min(t, n_max) + 1  # no part exceeds n_max
+    numerator = (n_max + m * (m + 1) // 2 - 1) ** (m - 1)
+    simplex = -(-numerator // math.factorial(m - 1) // math.factorial(m))
     partition = math.isqrt(14 * n_max) + 1
-    multiset = ((n_max + 1) * math.comb(n_max + t + 1, t + 1)).bit_length()
-    return -(-min(partition, multiset) // 8) * 8
+    return -(-min(partition, ((n_max + 1) * simplex).bit_length()) // 8) * 8
 
 
 def count_specified(n: int, spec) -> int:
-    """# partitions of n realizing the milestone distances (see specified_table)."""
+    """# partitions of n realizing the milestone distances: each window's top slot, summed."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return specified_table(spec, n)[n]
+    spec = _coerce_spec(spec)
+    w = _slot_bits(n, spec.total)
+    return sum(ways >> (n - base) * w for base, ways in _windows(spec, n, w))

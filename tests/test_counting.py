@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from partition_gf import genfun
+from partition_gf import counting, genfun
 from partition_gf.cli import main
 from partition_gf.counting import (
     _slot_bits,
@@ -131,8 +131,8 @@ class TestNegativeNMax:
         assert fixed_diff_table(0, 0) == [0]
 
 
-# (30,), (100,) and (400,) are where the partition-number bound sets the
-# slot width; for the others the multiset bound is the smaller.
+# (100,) and (400,) are where the partition-number bound sets the slot
+# width; for the others the simplex bound is the smaller.
 PACKED_CASES = [((1,), 2000), ((5,), 2000), ((2, 2), 2000), ((1, 1, 1), 2000),
                 ((30,), 2000), ((100,), 2000), ((400,), 1000)]
 
@@ -156,16 +156,18 @@ def _list_nest(spec, order):
 
 
 class TestPackedSlots:
-    """Both packed routes, the table and the direct sum, against the direct
-    sum nested in list arithmetic, where a slot too narrow for its counts
-    would corrupt them.  They share the width (_slot_bits), so each is
-    checked against the list reference, not only against the other."""
+    """The packed routes, the table, the point count and the direct sum,
+    against the direct sum nested in list arithmetic, where a slot too narrow
+    for its counts would corrupt them.  They share the width (_slot_bits), so
+    each is checked against the list reference, not only against the others."""
 
     @pytest.mark.parametrize("spec, n_max", PACKED_CASES, ids=str)
     def test_matches_direct_series(self, spec, n_max):
         reference = _list_nest(spec, n_max)
         assert specified_table(spec, n_max) == reference
         assert list(direct_series_specified(spec, n_max).coeffs) == reference
+        assert count_specified(n_max, spec) == reference[n_max]
+        assert max(reference).bit_length() <= _slot_bits(n_max, sum(spec))
 
     @pytest.mark.parametrize("spec", [spec for spec, _ in PACKED_CASES], ids=str)
     def test_edges_of_the_first_window(self, spec):
@@ -196,6 +198,21 @@ class TestPackedSlots:
         monkeypatch.setattr(genfun, "_slot_bits", lambda n_max, t: 8)
         assert main(["compute", "--n", "2000", "--distances", "1,1", "--method", "all"]) == 1
         assert "METHOD DISAGREEMENT" in capsys.readouterr().err
+
+    def test_point_count_width_is_what_keeps_it_exact(self, capsys, monkeypatch):
+        monkeypatch.setattr(counting, "_slot_bits", lambda n_max, t: 8)
+        assert count_specified(2000, (5,)) != _list_nest((5,), 2000)[2000]
+        assert main(["compute", "--n", "2000", "--distances", "5", "--method", "all"]) == 1
+        assert "METHOD DISAGREEMENT" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_simplex_bounds_partitions_into_parts_at_most_m(self, m):
+        # p_{<=m}(n) <= vol {y >= 0 : sum_{i=2..m} i y_i <= n + sum_{i=2..m} i},
+        # the bound _slot_bits multiplies by n_max+1.
+        exact = multiset_sums(range(1, m + 1), 2000)
+        denominator = math.factorial(m - 1) * math.factorial(m)
+        for n, count in enumerate(exact):
+            assert count * denominator <= (n + m * (m + 1) // 2 - 1) ** (m - 1), n
 
     def test_width_covers_partition_numbers(self):
         # With t >= n - 1 the first window counts every partition of n.

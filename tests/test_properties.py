@@ -6,7 +6,7 @@ import functools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from partition_gf.counting import specified_table
+from partition_gf.counting import count_specified, specified_table
 from partition_gf.genfun import DistanceSpec, closed_form_specified, direct_series_specified
 from reference import iter_specified
 
@@ -25,6 +25,8 @@ def test_every_route_matches_brute_force(distances, n_max):
     spec = DistanceSpec(distances)
     brute = [_brute_count(n, distances) for n in range(n_max + 1)]
     assert specified_table(spec, n_max) == brute
+    if n_max >= 1:
+        assert count_specified(n_max, distances) == brute[n_max]
     assert list(direct_series_specified(spec, n_max).coeffs) == brute
     if spec.has_closed_form:
         assert list(closed_form_specified(spec).expand(n_max).coeffs) == brute
