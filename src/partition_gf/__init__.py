@@ -3,11 +3,13 @@ largest and smallest parts, or by a vector of specified milestone distances.
 A fixed difference t is the one-distance case: every route takes a
 :class:`DistanceSpec`, and ``(t,)`` is the spec for difference t.
 
-Three independent routes to every count, all in exact arithmetic:
+Three routes to every count, all in exact arithmetic:
 
-* brute-force enumeration (:mod:`partition_gf.counting`),
+* enumeration by a packed coin DP sliding over the smallest part
+  (:mod:`partition_gf.counting`),
 * truncated q-series, direct sums and closed rational forms
-  (:mod:`partition_gf.qseries`, :mod:`partition_gf.genfun`),
+  (:mod:`partition_gf.qseries`, :mod:`partition_gf.genfun`); the direct sum
+  uses the counting module's packed kernels,
 * quasipolynomial evaluation (:mod:`partition_gf.quasipoly`).
 
 :mod:`partition_gf.oeis` cross-checks the computed sequences against

@@ -303,11 +303,13 @@ def cmd_oeis(args) -> int:
         raise UsageError(f"--n-max must be >= 1, got {args.n_max}")
     ids = args.id if args.id else sorted(oeis.KNOWN_SEQUENCES)
     _require_first_n(ids, args.n_max)
+    if args.fetch and not args.endpoint:
+        raise UsageError("--fetch requires --endpoint")
+    if args.endpoint is not None and not args.fetch:
+        raise UsageError("--endpoint is read only with --fetch")
     failures = 0
     for sequence_id in ids:
         if args.fetch:
-            if not args.endpoint:
-                raise UsageError("--fetch requires --endpoint")
             oeis.fetch_remote(sequence_id, args.endpoint, cache_dir=args.fixtures_dir)
         report, last_n = oeis.cross_check_known(sequence_id, args.fixtures_dir, args.n_max)
         _note_clip(sequence_id, args.n_max, last_n)

@@ -1,12 +1,14 @@
-"""Brute-force partition counting oracles.
+"""Partition counting by a coin DP over the smallest part, and the packed
+big-int kernels it shares with `genfun.direct_series_specified`.
 
-These never touch the series machinery: they count by direct enumeration
-over the smallest part plus a bounded-coin DP on what remains, so they can
-serve as an independent route against the generating-function expansions.
-The table slides one coin DP along the smallest part s: s -> s+1 drops coin s
-and adds coin s+t+1.  The DP and the counts are each one integer, the
+The table slides one coin DP along the smallest part s: the window for s
+counts the multisets of parts in [s, s+t] by their sum, and s -> s+1 drops
+coin s and adds coin s+t+1.  The DP and the counts are each one integer, the
 polynomial evaluated at q = 2^w, so a pass over the window is a few big-int
-shifts, masks and adds rather than a loop over coefficients.
+shifts, masks and adds rather than a loop over coefficients.  The slot width
+`_slot_bits`, the packed geometric division `_packed_divide` and `_unpack`
+are shared with the direct series sum, which the table is checked against:
+for t > k the closed form is a third route that shares none of them.
 """
 
 from __future__ import annotations

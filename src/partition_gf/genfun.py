@@ -28,7 +28,6 @@ from .counting import DistanceSpec  # re-exported
 from .counting import _coerce_spec, _packed_divide, _slot_bits, _unpack, divisor_count
 from .errors import InvalidExponent, OutOfRange
 from .qseries import (
-    POLY_ONE,
     FactoredRational,
     IntPolynomial,
     TruncatedSeries,
@@ -87,11 +86,12 @@ def closed_form_fixed_diff(t: int) -> FactoredRational:
             f"closed form requires difference > 1 (got {t}); the t=0 and t=1 "
             "series have non-polar singularities and stay non-rational"
         )
-    poch_minus_one = (pochhammer_q(t) - POLY_ONE).coeffs
-    numerator = IntPolynomial(_times_one_minus_q_powers(poch_minus_one, (1,))).shift(t - 1)
-    numerator = numerator + IntPolynomial.monomial(t) - IntPolynomial.monomial(2 * t)
+    poch_minus_one = [0, *pochhammer_q(t).coeffs[1:]]  # (q)_t has constant term 1
+    numerator = [0] * (t - 1) + _times_one_minus_q_powers(poch_minus_one, (1,))
+    numerator[t] += 1  # + q^t(1-q^t); degree t-1 + C(t+1,2) + 1 exceeds 2t
+    numerator[2 * t] -= 1
     poch = [(m, 1) for m in range(1, t + 1)]
-    return FactoredRational(numerator, [(t - 1, 1), (t, 1)] + poch).reduce()
+    return FactoredRational(IntPolynomial(numerator), [(t - 1, 1), (t, 1)] + poch).reduce()
 
 
 def closed_form_specified(spec) -> FactoredRational:
@@ -110,13 +110,11 @@ def closed_form_specified(spec) -> FactoredRational:
     t, k, weighted = spec.total, spec.k, spec.weighted_total
     if not spec.has_closed_form:
         raise OutOfRange(f"closed form requires total distance > k, got t={t}, k={k}")
-    core = _alternating_sum(t, range(k + 1)) - pochhammer_q(t)
+    partial, poch = _alternating_sum(t, range(k + 1)), pochhammer_q(t).coeffs
+    core = [(-1) ** k * (a - p) for a, p in zip(partial, poch)]  # of equal length
     lead_exp = weighted - math.comb(k + 1, 2)  # >= 0 since each distance is >= 1
-    numerator = core.shift(lead_exp)
-    if k % 2 == 1:
-        numerator = -numerator
     numerator = IntPolynomial(
-        _times_one_minus_q_powers(numerator, [*range(1, k + 1), *range(1, t - k)])
+        _times_one_minus_q_powers([0] * lead_exp + core, [*range(1, k + 1), *range(1, t - k)])
     )
     denominator = (
         [(m, 1) for m in range(1, t)]      # (q)_{t-1}
@@ -141,20 +139,20 @@ def qbinomial_alternating_sum(t: int) -> IntPolynomial:
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    return _alternating_sum(t, range(t + 1))
+    return IntPolynomial(_alternating_sum(t, range(t + 1)))
 
 
-def _alternating_sum(t: int, js: range) -> IntPolynomial:
-    """sum_{j in js} [t,j] (-1)^j q^{C(j+1,2)}, each row after the first stepped
-    by [t,j+1] = [t,j] (1-q^{t-j}) / (1-q^{j+1}).  Private: perfbench times
-    public genfun functions, and the closed form's sum is not an identity check."""
-    out = IntPolynomial()
+def _alternating_sum(t: int, js: range) -> list[int]:
+    """sum_{j in js} [t,j] (-1)^j q^{C(j+1,2)} as a list as long as (q)_t's, each row
+    after the first stepped by [t,j+1] = [t,j] (1-q^{t-j}) / (1-q^{j+1}).  Private: perfbench
+    times public genfun functions, and the closed form's sum is not an identity check."""
+    out = [0] * (math.comb(t + 1, 2) + 1)  # term j has degree jt - C(j,2) <= C(t+1,2)
     row = list(gauss_binomial(t, js.start).coeffs)
     for j in js:
         if j > js.start:
             row = _times_ratio(row, t - j + 1, j)
-        part = IntPolynomial(row).shift(math.comb(j + 1, 2))
-        out = out + (part if j % 2 == 0 else -part)
+        for i, c in enumerate(row, math.comb(j + 1, 2)):
+            out[i] += (-1) ** j * c
     return out
 
 
@@ -167,7 +165,7 @@ def p1_identity_check(order: int) -> bool:
     summed = direct_series_specified((1,), order)
 
     rational = list(
-        FactoredRational(IntPolynomial.monomial(1), [(1, 2)]).expand(order).coeffs
+        FactoredRational(IntPolynomial((0, 1)), [(1, 2)]).expand(order).coeffs
     )
     for m in range(1, order + 1):  # subtract sum_m q^m/(1-q^m), a divisor sieve
         for j in range(m, order + 1, m):

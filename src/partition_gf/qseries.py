@@ -1,5 +1,8 @@
-"""Exact arithmetic in one variable q: integer polynomials, truncated power
-series, and rational functions with (1-q^m)-product denominators.
+"""Exact arithmetic in one variable q over plain coefficient lists, and the
+immutable values that carry the results: integer polynomials, truncated power
+series, and rational functions with (1-q^m)-product denominators.  The value
+types hold and compare coefficients; they have no arithmetic operators, and
+callers build a value's coefficients as a list before wrapping it once.
 
 Conventions:
 
@@ -19,12 +22,12 @@ A polynomial quotient by 1 - q^m is exact precisely when that geometric pass
 leaves the top m entries zero, which is how ``gauss_binomial`` and
 ``FactoredRational.reduce`` divide.
 
-All values are immutable and all functions are pure.
+All values are immutable and all public functions are pure.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InternalError, InvalidExponent, OrderTooLarge
 
@@ -44,27 +47,15 @@ class IntPolynomial:
     def __init__(self, coeffs: Iterable[int] = ()):
         self.coeffs: tuple[int, ...] = _trim([int(c) for c in coeffs])
 
-    @classmethod
-    def monomial(cls, exponent: int) -> IntPolynomial:
-        if exponent < 0:
-            raise ValueError("monomial exponent must be >= 0")
-        return cls([0] * exponent + [1])
-
     @property
     def degree(self) -> int:
         """Index of the last nonzero coefficient; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __getitem__(self, i: int) -> int:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return 0
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
@@ -72,31 +63,8 @@ class IntPolynomial:
     def __hash__(self) -> int:
         return hash(("IntPolynomial", self.coeffs))
 
-    def __neg__(self) -> IntPolynomial:
-        return IntPolynomial([-c for c in self.coeffs])
-
-    def __add__(self, other: IntPolynomial) -> IntPolynomial:
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        return self + (-other)
-
-    def shift(self, exponent: int) -> IntPolynomial:
-        """Multiply by q^exponent, exponent >= 0."""
-        if exponent < 0:
-            raise ValueError("shift exponent must be >= 0")
-        if self.is_zero():
-            return self
-        return IntPolynomial((0,) * exponent + self.coeffs)
-
     def __repr__(self) -> str:
-        if self.is_zero():
+        if not self.coeffs:
             return "IntPolynomial(0)"
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -115,10 +83,6 @@ class IntPolynomial:
         for sign, body in terms[1:]:
             text += f" {sign} {body}"
         return f"IntPolynomial({text})"
-
-
-POLY_ZERO = IntPolynomial()
-POLY_ONE = IntPolynomial([1])
 
 
 class TruncatedSeries:
@@ -215,7 +179,7 @@ def gauss_binomial(top: int, bottom: int) -> IntPolynomial:
     if top < 0:
         raise ValueError(f"top index must be >= 0, got {top}")
     if bottom < 0 or bottom > top:
-        return POLY_ZERO
+        return IntPolynomial()
     b = min(bottom, top - bottom)
     coeffs = [1]
     for i in range(1, b + 1):
@@ -228,16 +192,19 @@ def gauss_binomial_pascal(top: int, bottom: int) -> IntPolynomial:
     if top < 0:
         raise ValueError(f"top index must be >= 0, got {top}")
     if bottom < 0 or bottom > top:
-        return POLY_ZERO
+        return IntPolynomial()
     # [A,B] = [A-1,B-1] + q^B [A-1,B]
-    row = [POLY_ONE]
+    row = [[1]]
     for a in range(1, top + 1):
-        new_row = [POLY_ONE]
+        new_row = [[1]]
         for b in range(1, a):
-            new_row.append(row[b - 1] + row[b].shift(b))
-        new_row.append(POLY_ONE)
+            entry = [0] * b + row[b]
+            for i, c in enumerate(row[b - 1]):
+                entry[i] += c
+            new_row.append(entry)
+        new_row.append([1])
         row = new_row
-    return row[bottom]
+    return IntPolynomial(row[bottom])
 
 
 def _normalize_denominator(denominator) -> tuple[tuple[int, int], ...]:
@@ -265,12 +232,13 @@ class FactoredRational:
     def __init__(self, numerator: IntPolynomial, denominator=()):
         self.numerator = numerator
         # Zero has one canonical encoding: zero numerator, empty denominator.
-        self.denominator = () if numerator.is_zero() else _normalize_denominator(denominator)
+        self.denominator = _normalize_denominator(denominator) if numerator.coeffs else ()
 
     def expand(self, order: int) -> TruncatedSeries:
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
-        out = [self.numerator[i] for i in range(order + 1)]
+        out = list(self.numerator.coeffs[: order + 1])
+        out += [0] * (order + 1 - len(out))
         for m, e in self.denominator:
             for _ in range(e):
                 _divide_by_one_minus_q_power(out, m)

@@ -6,8 +6,9 @@ A quasipolynomial of period P and degree d keeps one coefficient row per
 residue class mod P; evaluation picks the row for n mod P and evaluates the
 polynomial at n.  Fitting reads a coefficient list, the count at n at index
 n (index 0 not read), and takes integer forward differences along each class
-n = r + jP, r in 1..P: the first d+1 give the Newton form in j, turned into
-rows only for output, and every (d+1)-th difference must vanish.  A nonzero
+n = r + jP, r in 1..P: the first d+1 give the Newton form in j, which `fit`
+turns into that class's row of rational coefficients in n as soon as the
+class is fitted, and every (d+1)-th difference must vanish.  A nonzero
 one raises instead of being averaged away, because an inconsistency falsifies
 the degree/period hypothesis rather than being noise.
 """

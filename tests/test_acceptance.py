@@ -95,7 +95,7 @@ def test_criterion_5_explicit_case_tables():
 
 
 def test_criterion_6_displayed_rational_forms():
-    displayed_p2 = FactoredRational(IntPolynomial.monomial(4), [(1, 1), (2, 2)])
+    displayed_p2 = FactoredRational(IntPolynomial((0, 0, 0, 0, 1)), [(1, 1), (2, 2)])
     assert displayed_p2.expand(100) == closed_form_fixed_diff(2).expand(100)
 
     displayed_p3 = FactoredRational(

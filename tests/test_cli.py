@@ -389,6 +389,14 @@ class TestOeisCommand:
         code, _, _ = run(capsys, "oeis", "--id", "A000005", "--fetch")
         assert code == EXIT_USAGE
 
+    def test_endpoint_requires_fetch(self, capsys):
+        code, out, err = run(
+            capsys, "oeis", "--id", "A008805", "--n-max", "50", "--endpoint", "http://x"
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--endpoint is read only with --fetch" in err
+
     def test_dead_endpoint_is_io_error(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "oeis", "--id", "A000005", "--fetch",

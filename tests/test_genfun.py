@@ -4,6 +4,7 @@ behind them."""
 import functools
 import hashlib
 import itertools
+import math
 
 import pytest
 
@@ -24,7 +25,7 @@ from partition_gf.genfun import (
     qbinomial_alternating_sum,
     series,
 )
-from partition_gf.qseries import IntPolynomial, gauss_binomial, pochhammer_q
+from partition_gf.qseries import IntPolynomial, gauss_binomial, gauss_binomial_pascal, pochhammer_q
 from reference import iter_specified
 
 
@@ -128,7 +129,7 @@ class TestRecurrences:
 class TestClosedFormFixedDiff:
     def test_difference_two_reduces_to_display_shape(self):
         form = closed_form_fixed_diff(2)
-        assert form.numerator == IntPolynomial.monomial(4)
+        assert form.numerator == IntPolynomial((0, 0, 0, 0, 1))
         assert form.denominator == ((1, 1), (2, 2))
 
     def test_difference_three_reduces_to_display_shape(self):
@@ -243,12 +244,26 @@ class TestQBinomialAlternatingSum:
     def test_tail_from_two(self, t):
         # sum_{j=2}^{t} = (q)_t - 1 + q [t,1]: the full sum less the partial
         # sum through j = 1, the kind `closed_form_specified` stops at j = k
-        expected = (
-            pochhammer_q(t)
-            - IntPolynomial([1])
-            + gauss_binomial(t, 1).shift(1)
-        )
-        assert qbinomial_alternating_sum(t) - genfun._alternating_sum(t, range(2)) == expected
+        tail = list(qbinomial_alternating_sum(t).coeffs)
+        for i, c in enumerate(genfun._alternating_sum(t, range(2))):
+            tail[i] -= c
+        expected = [0, *pochhammer_q(t).coeffs[1:]]
+        for i, c in enumerate(gauss_binomial(t, 1).coeffs, 1):
+            expected[i] += c
+        assert IntPolynomial(tail) == IntPolynomial(expected)
+
+    @pytest.mark.parametrize("t", range(11))
+    def test_every_prefix_matches_pascal_rows(self, t):
+        # Each prefix j <= k the closed forms stop at, coefficient by
+        # coefficient from q-Pascal rows, which share no kernel with the
+        # stepped rows of the sum.
+        rows = [gauss_binomial_pascal(t, j) for j in range(t + 1)]
+        for k in range(t + 1):
+            expected = [
+                sum((-1) ** j * rows[j][n - math.comb(j + 1, 2)] for j in range(k + 1))
+                for n in range(math.comb(t + 1, 2) + 1)
+            ]
+            assert IntPolynomial(genfun._alternating_sum(t, range(k + 1))) == IntPolynomial(expected)
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):

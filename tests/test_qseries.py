@@ -105,18 +105,6 @@ class TestIntPolynomial:
             if got is not None:
                 assert schoolbook_product(IntPolynomial(got), b) == a
 
-    def test_shift_and_monomial(self):
-        assert P(1, -1).shift(3) == P(0, 0, 0, 1, -1)
-        assert IntPolynomial.monomial(4) == P(0, 0, 0, 0, 1)
-
-    @pytest.mark.parametrize("poly", [P(1, -1), IntPolynomial()], ids=["nonzero", "zero"])
-    def test_negative_shift_rejected(self, poly):
-        assert poly.shift(0) == poly
-        with pytest.raises(ValueError):
-            poly.shift(-1)
-        with pytest.raises(ValueError):
-            IntPolynomial.monomial(-1)
-
 
 class TestTruncatedSeries:
     def test_equality_is_strict_about_order(self):
@@ -270,7 +258,7 @@ class TestFactoredRational:
 
     def test_expand_difference_two_display(self):
         # q^4 over (1-q)(1-q^2)^2, the normalized shape of (1-q)^3(1+q)^2
-        fr = FactoredRational(IntPolynomial.monomial(4), [(1, 1), (2, 2)])
+        fr = FactoredRational(P(0, 0, 0, 0, 1), [(1, 1), (2, 2)])
         assert fr.expand(8).coeffs == (0, 0, 0, 0, 1, 1, 3, 3, 6)
 
     def test_expand_difference_three_display(self):
@@ -319,7 +307,7 @@ class TestFactoredRational:
         assert out.expand(20) == fr.expand(20)
 
     def test_reduce_preserves_expansion(self):
-        fr = FactoredRational(P(0, 1, -1).shift(3), [(1, 2), (2, 1)])  # q^4(1-q)/...
+        fr = FactoredRational(P(0, 0, 0, 0, 1, -1), [(1, 2), (2, 1)])  # q^4(1-q)/...
         reduced = fr.reduce()
         assert reduced.expand(15) == fr.expand(15)
         assert reduced.denominator == ((1, 1), (2, 1))
