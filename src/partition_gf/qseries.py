@@ -52,11 +52,6 @@ class IntPolynomial:
         """Index of the last nonzero coefficient; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def __getitem__(self, i: int) -> int:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
 

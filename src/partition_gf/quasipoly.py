@@ -2,21 +2,24 @@
 interpolation from a coefficient list, fits driven by the closed-form series,
 and the explicit residue-class formulas for difference 3 and distances (2,2).
 
-A quasipolynomial of period P and degree d keeps one coefficient row per
-residue class mod P; evaluation picks the row for n mod P and evaluates the
-polynomial at n.  Fitting reads a coefficient list, the count at n at index
-n (index 0 not read), and takes integer forward differences along each class
-n = r + jP, r in 1..P: the first d+1 give the Newton form in j, which `fit`
-turns into that class's row of rational coefficients in n as soon as the
-class is fitted, and every (d+1)-th difference must vanish.  A nonzero
-one raises instead of being averaged away, because an inconsistency falsifies
-the degree/period hypothesis rather than being noise.
+A quasipolynomial of period P and degree d keeps one row of d+1 integer
+numerators per residue class mod P over one common denominator; evaluation
+picks the row for n mod P and evaluates the polynomial at n.  Fitting reads a
+coefficient list, the count at n at index n (index 0 not read), cut into
+sample rows of P: row j holds n = jP+1 .. (j+1)P, so position p holds class
+p+1 mod P at n = p+1 + jP.  Integer forward differences down the rows take
+every class at once: the first d+1 give each class's Newton form in j, one
+Horner pass over whole rows turns them into numerators in n over
+d! * P^d, and every (d+1)-th difference must vanish.  A nonzero one raises
+instead of being averaged away, because an inconsistency falsifies the
+degree/period hypothesis rather than being noise.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from .errors import (
@@ -37,84 +40,91 @@ MAX_PERIOD = 27720
 
 
 class QuasiPolynomial:
-    """period P, degree d, and P rows of d+1 exact rational coefficients,
-    row r giving n -> sum_j c[r][j] n^j for n == r (mod P)."""
+    """period P, degree d, and P rows of d+1 integer numerators over one
+    denominator, row r giving n -> sum_j rows[r][j] n^j / denominator for
+    n == r (mod P).  The numerators and the denominator are divided by their
+    common gcd, so equal quasipolynomials have equal fields."""
 
-    __slots__ = ("period", "degree", "rows")
+    __slots__ = ("period", "degree", "rows", "denominator")
 
-    def __init__(self, period: int, degree: int, rows: tuple[tuple[Fraction, ...], ...]):
+    def __init__(
+        self, period: int, degree: int, rows: tuple[tuple[int, ...], ...], denominator: int
+    ):
         if period < 1:
             raise ValueError(f"period must be >= 1, got {period}")
         if degree < 0:
             raise ValueError(f"degree must be >= 0, got {degree}")
+        if denominator < 1:
+            raise ValueError(f"denominator must be >= 1, got {denominator}")
         if len(rows) != period:
             raise ValueError(f"expected {period} rows, got {len(rows)}")
         for row in rows:
             if len(row) != degree + 1:
                 raise ValueError(f"every row needs {degree + 1} coefficients, got {len(row)}")
-        self.period, self.degree, self.rows = period, degree, rows
+        # A fitted quasipolynomial repeats few numerators across its rows, so
+        # each distinct one is divided once and the rows share the results.
+        distinct = set(chain.from_iterable(rows))
+        g = math.gcd(denominator, *distinct)
+        if g != 1:
+            reduced = {c: c // g for c in distinct}
+            rows = tuple(tuple(map(reduced.__getitem__, row)) for row in rows)
+            denominator //= g
+        self.period, self.degree, self.rows, self.denominator = period, degree, rows, denominator
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, QuasiPolynomial) and (
-            (self.period, self.degree, self.rows) == (other.period, other.degree, other.rows)
+            (self.period, self.degree, self.denominator, self.rows)
+            == (other.period, other.degree, other.denominator, other.rows)
         )
 
     def __hash__(self) -> int:
-        return hash((self.period, self.degree, self.rows))
+        return hash((self.period, self.degree, self.denominator, self.rows))
 
     def __repr__(self) -> str:
-        return f"QuasiPolynomial(period={self.period!r}, degree={self.degree!r}, rows={self.rows!r})"
+        return (
+            f"QuasiPolynomial(period={self.period!r}, degree={self.degree!r}, "
+            f"rows={self.rows!r}, denominator={self.denominator!r})"
+        )
 
     def evaluate(self, n: int) -> Fraction:
         """Exact value at n >= 1."""
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        row = self.rows[n % self.period]
-        acc = Fraction(0)
-        for c in reversed(row):
+        acc = 0
+        for c in reversed(self.rows[n % self.period]):
             acc = acc * n + c
-        return acc
+        return Fraction(acc, self.denominator)
 
     def leading_coefficient(self) -> Fraction:
         """The degree-d coefficient, required to be identical in every row."""
         leads = {row[self.degree] for row in self.rows}
         if len(leads) != 1:
             raise NonConstantLeading(
-                f"rows disagree at degree {self.degree}: {sorted(leads)}"
+                f"rows disagree at degree {self.degree}: "
+                f"{sorted(Fraction(c, self.denominator) for c in leads)}"
             )
-        return next(iter(leads))
+        return Fraction(leads.pop(), self.denominator)
 
     def to_json_dict(self) -> dict:
+        """Each coefficient as the string "p/q" in lowest terms."""
+        d = self.denominator
+        text = {
+            c: f"{c // g}/{d // g}"
+            for c in set(chain.from_iterable(self.rows))
+            for g in (math.gcd(c, d),)
+        }
         return {
             "period": self.period,
             "degree": self.degree,
-            "rows": [
-                [f"{c.numerator}/{c.denominator}" for c in row] for row in self.rows
-            ],
+            "rows": [[text[c] for c in row] for row in self.rows],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> QuasiPolynomial:
-        rows = tuple(
-            tuple(Fraction(entry) for entry in row) for row in data["rows"]
-        )
-        return cls(period=int(data["period"]), degree=int(data["degree"]), rows=rows)
-
-
-def _newton_row(start: int, step: int, diffs: Sequence[int]) -> tuple[Fraction, ...]:
-    # Newton form sum_i diffs[i] * C(j, i) with n = start + j*step, rewritten
-    # in powers of n over the common denominator t! * step^t (t = len(diffs)-1).
-    t = len(diffs) - 1
-    numer = [0] * (t + 1)
-    basis = [1]  # prod_{m<i} (n - start - m*step), lowest power first
-    for i, delta in enumerate(diffs):
-        scale = delta * (math.factorial(t) // math.factorial(i)) * step ** (t - i)
-        for power, c in enumerate(basis):
-            numer[power] += scale * c
-        root = start + i * step
-        basis = [a - root * b for a, b in zip([0, *basis], [*basis, 0])]
-    denom = math.factorial(t) * step**t
-    return tuple(Fraction(c, denom) for c in numer)
+        rows = [[Fraction(entry) for entry in row] for row in data["rows"]]
+        d = math.lcm(*(c.denominator for c in chain.from_iterable(rows)))
+        rows = tuple(tuple(c.numerator * d // c.denominator for c in row) for row in rows)
+        return cls(int(data["period"]), int(data["degree"]), rows, d)
 
 
 def fit(values: Sequence[int], degree: int, period: int) -> QuasiPolynomial:
@@ -124,35 +134,74 @@ def fit(values: Sequence[int], degree: int, period: int) -> QuasiPolynomial:
 
     Each residue class needs degree+1 samples or more (InsufficientSamples);
     a nonzero (degree+1)-th forward difference raises InconsistentSamples at
-    the first sample it falsifies.
+    the first sample it falsifies, taking the classes in the order 0, 1, ...
     """
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
     if period < 1:
         raise ValueError(f"period must be >= 1, got {period}")
-    rows = []
-    for r in range(period):
-        start = r or period
-        samples = values[start::period]
-        if len(samples) < degree + 1:
-            raise InsufficientSamples(
-                f"residue class {r} mod {period} has {len(samples)} samples, "
-                f"needs {degree + 1}"
+    P, d = period, degree
+    # Class 0 starts last, at n = P, so it has the fewest samples.
+    fewest = len(range(P, len(values), P))
+    if fewest < d + 1:
+        raise InsufficientSamples(
+            f"residue class 0 mod {P} has {fewest} samples, needs {d + 1}"
+        )
+    # The last row may be short; zip truncation keeps it aligned by position.
+    # Each pass replaces row j by row j+1 minus row j, in place, so only one
+    # level of differences is held at a time.
+    level = [values[i + 1 : i + P + 1] for i in range(0, len(values) - 1, P)]
+    newton = []
+    for _ in range(d + 1):
+        newton.append(level[0])
+        for j in range(len(level) - 1):
+            level[j] = [b - a for a, b in zip(level[j], level[j + 1])]
+        level.pop()
+    if any(map(any, level)):
+        # level[j][p] is the (d+1)-th difference ending at sample j+d+1 of
+        # position p: name the least class r = p+1 mod P, then the least j.
+        r, j, p = min(
+            ((p + 1) % P, j, p)
+            for j, row in enumerate(level)
+            for p, delta in enumerate(row)
+            if delta
+        )
+        n = p + 1 + (j + d + 1) * P
+        raise InconsistentSamples(
+            f"degree {d}, period {P} cannot hold: at n={n} "
+            f"the residue-{r} fit gives {values[n] - level[j][p]}, sample says {values[n]}"
+        )
+    # Horner over the Newton form sum_i newton[i] * C(j, i), j = (n - p - 1)/P,
+    # times D = d! * P^d: acc <- acc * (n - (p + 1 + i*P)) + newton[i] * d!/i! * P^(d-i),
+    # acc[e] holding the n^e numerators of every position, updated from the
+    # top power down so that each acc[e-1] is read before it is replaced.
+    acc = [newton.pop()]
+    scale = 1
+    for i in range(d - 1, -1, -1):
+        scale *= (i + 1) * P
+        roots = range(i * P + 1, (i + 1) * P + 1)
+        acc.append(acc[-1])
+        for e in range(len(acc) - 2, 0, -1):
+            acc[e] = [b - r * a for b, r, a in zip(acc[e - 1], roots, acc[e])]
+        acc[0] = [delta * scale - r * a for delta, r, a in zip(newton.pop(), roots, acc[0])]
+    columns = list(zip(*acc))
+    del acc  # the per-power lists, before the constructor reduces the rows
+    return QuasiPolynomial(P, d, (columns[-1], *columns[:-1]), math.factorial(d) * P**d)
+
+
+def _period(t: int) -> int:
+    """lcm(1..t), or PeriodTooLarge as soon as the running lcm passes
+    MAX_PERIOD, before any larger integer is built."""
+    period = 1
+    for m in range(2, t + 1):
+        period = math.lcm(period, m)
+        if period > MAX_PERIOD:
+            bound = "" if m == t else f" >= lcm(1..{m})"
+            raise PeriodTooLarge(
+                f"t={t} needs quasipolynomial period lcm(1..{t}){bound} = {period}, "
+                f"above the cap {MAX_PERIOD} = lcm(1..12)"
             )
-        level = samples
-        leading = []
-        for _ in range(degree + 1):
-            leading.append(level[0])
-            level = [b - a for a, b in zip(level, level[1:])]
-        for j, delta in enumerate(level):
-            if delta:
-                n, v = start + (j + degree + 1) * period, samples[j + degree + 1]
-                raise InconsistentSamples(
-                    f"degree {degree}, period {period} cannot hold: at n={n} "
-                    f"the residue-{r} fit gives {v - delta}, sample says {v}"
-                )
-        rows.append(_newton_row(start, period, leading))
-    return QuasiPolynomial(period, degree, tuple(rows))
+    return period
 
 
 def required_order(spec) -> int:
@@ -161,14 +210,7 @@ def required_order(spec) -> int:
     Raises PeriodTooLarge when the period lcm(1..t) exceeds MAX_PERIOD.
     """
     spec = _coerce_spec(spec)
-    t = spec.total
-    period = math.lcm(*range(1, t + 1))
-    if period > MAX_PERIOD:
-        raise PeriodTooLarge(
-            f"t={t} needs quasipolynomial period lcm(1..{t}) = {period}, "
-            f"above the cap {MAX_PERIOD} = lcm(1..12)"
-        )
-    return spec.min_weight + period * (t + 1)
+    return spec.min_weight + _period(spec.total) * (spec.total + 1)
 
 
 def from_closed_form(spec, order: int | None = None) -> QuasiPolynomial:
@@ -184,8 +226,8 @@ def from_closed_form(spec, order: int | None = None) -> QuasiPolynomial:
     t, k = spec.total, spec.k
     if not spec.has_closed_form:
         raise OutOfRange(f"no closed form for t={t}, k={k}; need t > k")
-    period = math.lcm(*range(1, t + 1))
     required = required_order(spec)
+    period = _period(t)
     if order is None:
         order = required
     elif order < required:

@@ -4,7 +4,6 @@ difference-3 and distance-(2,2) case tables as quasipolynomials."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from partition_gf.counting import _coerce_spec
@@ -57,11 +56,9 @@ def iter_specified(n: int, spec) -> Iterator[tuple[int, ...]]:
 
 def p3_quasipolynomial() -> QuasiPolynomial:
     """The difference-3 case table as a QuasiPolynomial (period 6, degree 3)."""
-    rows = tuple(tuple(Fraction(c, 108) for c in _P3_CASES[r]) for r in range(6))
-    return QuasiPolynomial(6, 3, rows)
+    return QuasiPolynomial(6, 3, tuple(_P3_CASES[r] for r in range(6)), 108)
 
 
 def p22_quasipolynomial() -> QuasiPolynomial:
     """The distance-(2,2) case table as a QuasiPolynomial (period 12, degree 4)."""
-    rows = tuple(tuple(Fraction(c, 6912) for c in _P22_CASES[r]) for r in range(12))
-    return QuasiPolynomial(12, 4, rows)
+    return QuasiPolynomial(12, 4, tuple(_P22_CASES[r] for r in range(12)), 6912)

@@ -329,6 +329,31 @@ class TestPeriodCap:
             "n=50 distances=13 method=series value=14186",
         ]
 
+    # Past t = 13 the refusal names the first lcm above the cap, never
+    # lcm(1..t) itself, which has over 4300 digits at t = 10000.
+    @pytest.mark.parametrize(
+        "argv,t",
+        [
+            (("verify", "--suite", "asymptotics", "--t-max", "10000"), 10000),
+            (("fit", "--distances", "20000"), 20000),
+            (("compute", "--n", "5", "--distances", "10000", "--method", "quasipoly"), 10000),
+        ],
+    )
+    def test_huge_t_refusal_names_the_first_lcm_above_the_cap(self, capsys, argv, t):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            f"error: t={t} needs quasipolynomial period lcm(1..{t}) >= lcm(1..13) = 360360, "
+            "above the cap 27720 = lcm(1..12)\n"
+        )
+
+    def test_huge_t_enumerate_ignores_the_cap(self, capsys):
+        code, out, err = run(capsys, "compute", "--n", "5", "--distances", "10000")
+        assert code == EXIT_OK
+        assert out == "n=5 distances=10000 method=enumerate value=0\n"
+        assert err == ""
+
 
 class TestOeisCommand:
     def test_offline_cross_check(self, capsys):

@@ -257,10 +257,14 @@ class TestQBinomialAlternatingSum:
         # Each prefix j <= k the closed forms stop at, coefficient by
         # coefficient from q-Pascal rows, which share no kernel with the
         # stepped rows of the sum.
-        rows = [gauss_binomial_pascal(t, j) for j in range(t + 1)]
+        rows = [gauss_binomial_pascal(t, j).coeffs for j in range(t + 1)]
         for k in range(t + 1):
             expected = [
-                sum((-1) ** j * rows[j][n - math.comb(j + 1, 2)] for j in range(k + 1))
+                sum(
+                    (-1) ** j * rows[j][n - math.comb(j + 1, 2)]
+                    for j in range(k + 1)
+                    if 0 <= n - math.comb(j + 1, 2) < len(rows[j])
+                )
                 for n in range(math.comb(t + 1, 2) + 1)
             ]
             assert IntPolynomial(genfun._alternating_sum(t, range(k + 1))) == IntPolynomial(expected)

@@ -39,7 +39,7 @@ RAW_P3 = [0, 0, 0, 0, 1, 1, 3, 3, 7, 7, 12, 14, 20, 22, 32, 34, 45, 51, 63, 69]
 
 class TestEvaluate:
     def test_constant(self):
-        qp = QuasiPolynomial(1, 0, ((Fraction(5),),))
+        qp = QuasiPolynomial(1, 0, ((5,),), 1)
         assert qp.evaluate(1) == 5
         assert qp.evaluate(123456) == 5
 
@@ -59,23 +59,21 @@ class TestLeadingCoefficient:
         assert p3_quasipolynomial().leading_coefficient() == Fraction(1, 108)
 
     def test_mismatched_rows_raise(self):
-        qp = QuasiPolynomial(
-            2, 1, ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(2)))
-        )
+        qp = QuasiPolynomial(2, 1, ((0, 1), (0, 2)), 1)
         with pytest.raises(NonConstantLeading):
             qp.leading_coefficient()
 
 
 class TestFit:
     def test_difference_two_rows(self):
+        # (0, -1/4, 1/8) and (3/8, -1/2, 1/8) over their common denominator
         qp = fit(fixed_diff_table(2, 20), degree=2, period=2)
-        assert qp.rows[0] == (Fraction(0), Fraction(-1, 4), Fraction(1, 8))
-        assert qp.rows[1] == (Fraction(3, 8), Fraction(-1, 2), Fraction(1, 8))
+        assert (qp.denominator, qp.rows) == (8, ((0, -2, 1), (3, -4, 1)))
 
     def test_constant_values(self):
         # index 0 is not read: were it, the 0 there would break the constant
         qp = fit([0] + [7] * 5, degree=0, period=1)
-        assert qp.rows == ((Fraction(7),),)
+        assert (qp.denominator, qp.rows) == (1, ((7,),))
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):
@@ -102,11 +100,48 @@ class TestFit:
 
     def test_exact_square_fit(self):
         qp = fit([n * n for n in range(10)], degree=2, period=1)
-        assert qp.rows == ((Fraction(0), Fraction(0), Fraction(1)),)
+        assert (qp.denominator, qp.rows) == (1, ((0, 0, 1),))
 
     def test_difference_three_counts_reproduce_case_table(self):
         qp = fit(fixed_diff_table(3, 60), degree=3, period=6)
         assert qp.rows == p3_quasipolynomial().rows
+
+    def test_fit_is_canonical(self):
+        # The fit's denominator 3! * 6^3 = 1296 reduces to the table's 108.
+        qp = fit(fixed_diff_table(3, 60), degree=3, period=6)
+        table = p3_quasipolynomial()
+        assert qp.denominator == table.denominator == 108
+        assert qp == table
+        assert hash(qp) == hash(table)
+        again = QuasiPolynomial.from_json_dict(qp.to_json_dict())
+        assert again == qp
+        assert hash(again) == hash(qp)
+
+    # Sample row j holds n = 6j+1 .. 6j+6, so class 0 sits last in every row,
+    # and fixed_diff_table(3, 63) ends in the short row n = 61, 62, 63.  Each
+    # message was taken from the per-class fit the column-wise one replaced.
+    @pytest.mark.parametrize(
+        "size,changes,message",
+        [
+            (60, {36: 1}, "at n=36 the residue-0 fit gives 426, sample says 427"),
+            (63, {62: -5}, "at n=62 the residue-2 fit gives 2190, sample says 2185"),
+            (63, {6: 1, 61: 2}, "at n=30 the residue-0 fit gives 244, sample says 245"),
+        ],
+        ids=["class-zero", "short-last-row", "class-zero-before-class-one"],
+    )
+    def test_inconsistency_in_the_row_layout(self, size, changes, message):
+        values = fixed_diff_table(3, size)
+        for n, delta in changes.items():
+            values[n] += delta
+        with pytest.raises(InconsistentSamples) as info:
+            fit(values, degree=3, period=6)
+        assert str(info.value) == f"degree 3, period 6 cannot hold: {message}"
+
+    def test_insufficient_samples_names_class_zero(self):
+        # n = 1..22: classes 1..4 have four samples, class 0 (6, 12, 18) three
+        with pytest.raises(InsufficientSamples) as info:
+            fit(fixed_diff_table(3, 63)[:23], degree=3, period=6)
+        assert str(info.value) == "residue class 0 mod 6 has 3 samples, needs 4"
 
 
 class TestFromClosedForm:
@@ -166,6 +201,26 @@ class TestFromClosedForm:
                 required_order(distances)
             with pytest.raises(PeriodTooLarge):
                 from_closed_form(distances, 10**7)
+
+    def test_period_cap_stops_the_running_lcm(self, monkeypatch):
+        # At t = 10**5, lcm(1..t) has over 43000 digits; the cap is checked
+        # as soon as the running lcm passes it, at m = 13.
+        real_lcm = math.lcm
+        largest = []
+
+        def lcm(*args):
+            value = real_lcm(*args)
+            largest.append(value)
+            return value
+
+        monkeypatch.setattr(math, "lcm", lcm)
+        with pytest.raises(PeriodTooLarge) as info:
+            required_order((10**5,))
+        assert max(largest) == 360360
+        assert str(info.value) == (
+            "t=100000 needs quasipolynomial period lcm(1..100000) >= lcm(1..13) = 360360, "
+            "above the cap 27720 = lcm(1..12)"
+        )
 
     @pytest.mark.parametrize("t", range(2, 7))
     def test_triple_agreement(self, t):
@@ -308,6 +363,9 @@ FIT_GOLDEN = {
     "2,2": "47bc8a287b82b6eb2348bd5f5113291b15d823d40ea5ef59dacf565c279aa34b",
     "1,5,1": "a0b1eee4461d0e883ca04d5e1a83c81952b0bab9704c420dfa7d81d18acb6ef7",
     "2,4": "6a3185a05f2171f64a8d3d37dc4289b9657d865f6b715632a4c146579ecc7203",
+    # period 2520, captured from the per-class fit before the column-wise one
+    "10": "baf7c0931256a290b40db7c70539957bc18a6503a5949cb994f047c6a6f64575",
+    "3,4,3": "96a416dca28f5a0e04a3caabaecd1e5fe04ba49e85d4e1d14e066ebcce53ad1f",
 }
 
 
