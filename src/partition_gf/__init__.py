@@ -34,7 +34,6 @@ from .genfun import (
 )
 from .qseries import (
     FactoredRational,
-    IntPolynomial,
     TruncatedSeries,
     gauss_binomial,
     pochhammer_q,
@@ -63,7 +62,6 @@ __all__ = [
     "p1_identity_check",
     "qbinomial_alternating_sum",
     "FactoredRational",
-    "IntPolynomial",
     "TruncatedSeries",
     "gauss_binomial",
     "pochhammer_q",

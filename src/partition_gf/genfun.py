@@ -29,12 +29,12 @@ from .counting import _coerce_spec, _packed_divide, _slot_bits, _unpack, divisor
 from .errors import InvalidExponent, OutOfRange
 from .qseries import (
     FactoredRational,
-    IntPolynomial,
     TruncatedSeries,
     _divide_by_one_minus_q_power,
     _multiply_by_one_minus_q_power,
     _times_one_minus_q_powers,
     _times_ratio,
+    _trim,
     gauss_binomial,
     pochhammer_q,
 )
@@ -86,12 +86,12 @@ def closed_form_fixed_diff(t: int) -> FactoredRational:
             f"closed form requires difference > 1 (got {t}); the t=0 and t=1 "
             "series have non-polar singularities and stay non-rational"
         )
-    poch_minus_one = [0, *pochhammer_q(t).coeffs[1:]]  # (q)_t has constant term 1
+    poch_minus_one = [0, *pochhammer_q(t)[1:]]  # (q)_t has constant term 1
     numerator = [0] * (t - 1) + _times_one_minus_q_powers(poch_minus_one, (1,))
     numerator[t] += 1  # + q^t(1-q^t); degree t-1 + C(t+1,2) + 1 exceeds 2t
     numerator[2 * t] -= 1
     poch = [(m, 1) for m in range(1, t + 1)]
-    return FactoredRational(IntPolynomial(numerator), [(t - 1, 1), (t, 1)] + poch).reduce()
+    return FactoredRational(numerator, [(t - 1, 1), (t, 1)] + poch).reduce()
 
 
 def closed_form_specified(spec) -> FactoredRational:
@@ -110,12 +110,10 @@ def closed_form_specified(spec) -> FactoredRational:
     t, k, weighted = spec.total, spec.k, spec.weighted_total
     if not spec.has_closed_form:
         raise OutOfRange(f"closed form requires total distance > k, got t={t}, k={k}")
-    partial, poch = _alternating_sum(t, range(k + 1)), pochhammer_q(t).coeffs
+    partial, poch = _alternating_sum(t, range(k + 1)), pochhammer_q(t)
     core = [(-1) ** k * (a - p) for a, p in zip(partial, poch)]  # of equal length
     lead_exp = weighted - math.comb(k + 1, 2)  # >= 0 since each distance is >= 1
-    numerator = IntPolynomial(
-        _times_one_minus_q_powers([0] * lead_exp + core, [*range(1, k + 1), *range(1, t - k)])
-    )
+    numerator = _times_one_minus_q_powers([0] * lead_exp + core, [*range(1, k + 1), *range(1, t - k)])
     denominator = (
         [(m, 1) for m in range(1, t)]      # (q)_{t-1}
         + [(t, 1)]                         # 1 - q^t
@@ -133,13 +131,13 @@ def series(spec, order: int) -> TruncatedSeries:
     return direct_series_specified(spec, order)
 
 
-def qbinomial_alternating_sum(t: int) -> IntPolynomial:
+def qbinomial_alternating_sum(t: int) -> tuple[int, ...]:
     """sum_{j=0}^{t} [t,j] (-1)^j q^{C(j+1,2)} as an exact polynomial, which
     the q-binomial theorem collapses to (q)_t.
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    return IntPolynomial(_alternating_sum(t, range(t + 1)))
+    return _trim(_alternating_sum(t, range(t + 1)))
 
 
 def _alternating_sum(t: int, js: range) -> list[int]:
@@ -147,7 +145,7 @@ def _alternating_sum(t: int, js: range) -> list[int]:
     after the first stepped by [t,j+1] = [t,j] (1-q^{t-j}) / (1-q^{j+1}).  Private: perfbench
     times public genfun functions, and the closed form's sum is not an identity check."""
     out = [0] * (math.comb(t + 1, 2) + 1)  # term j has degree jt - C(j,2) <= C(t+1,2)
-    row = list(gauss_binomial(t, js.start).coeffs)
+    row = gauss_binomial(t, js.start)
     for j in js:
         if j > js.start:
             row = _times_ratio(row, t - j + 1, j)
@@ -164,9 +162,7 @@ def p1_identity_check(order: int) -> bool:
         raise ValueError(f"order must be >= 1, got {order}")
     summed = direct_series_specified((1,), order)
 
-    rational = list(
-        FactoredRational(IntPolynomial((0, 1)), [(1, 2)]).expand(order).coeffs
-    )
+    rational = list(FactoredRational((0, 1), [(1, 2)]).expand(order).coeffs)
     for m in range(1, order + 1):  # subtract sum_m q^m/(1-q^m), a divisor sieve
         for j in range(m, order + 1, m):
             rational[j] -= 1

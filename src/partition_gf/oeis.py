@@ -235,9 +235,9 @@ def fetch_remote(
 ) -> SequenceFixture:
     """Fetch a b-file from an OEIS-format endpoint and cache it locally.
 
-    The endpoint is joined with the b-file name unless it already points at a
-    .txt resource.  The raw text is parsed first and cached only on success,
-    with a write-to-temp-then-rename so readers never see partial files.
+    The endpoint is a base URL, joined with the b-file name.  The raw text is
+    parsed first and cached only on success, with a write-to-temp-then-rename
+    so readers never see partial files.
     """
     # Imported here, for --fetch alone: the network stack would add tens of
     # milliseconds to every start of the command line.
@@ -245,7 +245,7 @@ def fetch_remote(
     import urllib.error
     import urllib.request
 
-    url = endpoint if endpoint.endswith(".txt") else endpoint.rstrip("/") + "/" + bfile_name(sequence_id)
+    url = endpoint.rstrip("/") + "/" + bfile_name(sequence_id)
     try:
         with urllib.request.urlopen(url, timeout=timeout) as response:
             text = response.read().decode("utf-8")
@@ -273,9 +273,13 @@ def write_local_fixture(
     """Regenerate a known fixture from the enumeration oracle.
 
     Used to ship offline fixtures; the file records its provenance in a
-    comment so it is never mistaken for a download.
+    comment so it is never mistaken for a download.  An n_max below the first
+    n would write no data lines, so it raises ValueError and writes nothing.
     """
     values = oracle_values(sequence_id, n_max)
+    if not values:
+        first = KNOWN_SEQUENCES[sequence_id][2]
+        raise ValueError(f"{sequence_id}: n_max {n_max} is below the first n, {first}")
     description = KNOWN_SEQUENCES[sequence_id][0]
     offset = _GENERATION_OFFSETS[sequence_id]
     directory = Path(directory)

@@ -1,14 +1,15 @@
 """Exact arithmetic in one variable q over plain coefficient lists, and the
-immutable values that carry the results: integer polynomials, truncated power
-series, and rational functions with (1-q^m)-product denominators.  The value
-types hold and compare coefficients; they have no arithmetic operators, and
-callers build a value's coefficients as a list before wrapping it once.
+immutable values that carry the results: truncated power series, and rational
+functions with (1-q^m)-product denominators.  The value types hold and
+compare coefficients; they have no arithmetic operators, and callers build a
+value's coefficients as a list before storing it once.
 
 Conventions:
 
-* ``IntPolynomial`` stores dense integer coefficients, index i holding the
-  coefficient of q^i.  Trailing zeros are trimmed; the zero polynomial is the
-  empty tuple and has degree -1.
+* An integer polynomial is a tuple of its coefficients, index i holding the
+  coefficient of q^i, with trailing zeros trimmed; the zero polynomial is the
+  empty tuple.  ``pochhammer_q``, ``gauss_binomial`` and a
+  ``FactoredRational`` numerator are all in this form.
 * ``TruncatedSeries`` of order N stores coefficients of q^0..q^N inclusive and
   guarantees them exactly.  Coefficients beyond N are unknown, not zero, so
   indexing past the order raises instead of returning 0.
@@ -32,52 +33,12 @@ from typing import Iterable
 from .errors import InternalError, InvalidExponent, OrderTooLarge
 
 
-def _trim(coeffs: list[int]) -> tuple[int, ...]:
+def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
+    coeffs = tuple(coeffs)
     n = len(coeffs)
     while n > 0 and coeffs[n - 1] == 0:
         n -= 1
-    return tuple(coeffs[:n])
-
-
-class IntPolynomial:
-    """A polynomial over Z, canonical form (no trailing zero coefficients)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        self.coeffs: tuple[int, ...] = _trim([int(c) for c in coeffs])
-
-    @property
-    def degree(self) -> int:
-        """Index of the last nonzero coefficient; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(("IntPolynomial", self.coeffs))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "IntPolynomial(0)"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                power = "q" if i == 1 else f"q^{i}"
-                body = power if mag == 1 else f"{mag}*{power}"
-            sign = "-" if c < 0 else "+"
-            terms.append((sign, body))
-        first_sign, first_body = terms[0]
-        text = (first_sign if first_sign == "-" else "") + first_body
-        for sign, body in terms[1:]:
-            text += f" {sign} {body}"
-        return f"IntPolynomial({text})"
+    return coeffs[:n]
 
 
 class TruncatedSeries:
@@ -154,14 +115,14 @@ def _times_ratio(coeffs, up: int, down: int) -> list[int]:
     return quot
 
 
-def pochhammer_q(m: int) -> IntPolynomial:
+def pochhammer_q(m: int) -> tuple[int, ...]:
     """(1-q)(1-q^2)...(1-q^m); the empty product 1 for m=0.  Degree m(m+1)/2."""
     if m < 0:
         raise ValueError(f"number of factors must be >= 0, got {m}")
-    return IntPolynomial(_times_one_minus_q_powers([1], range(1, m + 1)))
+    return _trim(_times_one_minus_q_powers([1], range(1, m + 1)))
 
 
-def gauss_binomial(top: int, bottom: int) -> IntPolynomial:
+def gauss_binomial(top: int, bottom: int) -> tuple[int, ...]:
     """Gaussian binomial [top, bottom] as an exact polynomial.
 
     Built as prod_{i=1}^{b} (1-q^{top-b+i}) / (1-q^i) with
@@ -169,37 +130,17 @@ def gauss_binomial(top: int, bottom: int) -> IntPolynomial:
     per factor.  The partial product after i factors is the Gaussian
     polynomial [top-b+i, i], so every division is exact; a remainder would
     mean the arithmetic is broken, so it raises InternalError rather than a
-    value error.  Out-of-range bottom yields the zero polynomial.
+    value error.  Out-of-range bottom yields the zero polynomial ().
     """
     if top < 0:
         raise ValueError(f"top index must be >= 0, got {top}")
     if bottom < 0 or bottom > top:
-        return IntPolynomial()
+        return ()
     b = min(bottom, top - bottom)
     coeffs = [1]
     for i in range(1, b + 1):
         coeffs = _times_ratio(coeffs, top - b + i, i)
-    return IntPolynomial(coeffs)
-
-
-def gauss_binomial_pascal(top: int, bottom: int) -> IntPolynomial:
-    """Same value via the q-Pascal recurrence; kept as an independent check."""
-    if top < 0:
-        raise ValueError(f"top index must be >= 0, got {top}")
-    if bottom < 0 or bottom > top:
-        return IntPolynomial()
-    # [A,B] = [A-1,B-1] + q^B [A-1,B]
-    row = [[1]]
-    for a in range(1, top + 1):
-        new_row = [[1]]
-        for b in range(1, a):
-            entry = [0] * b + row[b]
-            for i, c in enumerate(row[b - 1]):
-                entry[i] += c
-            new_row.append(entry)
-        new_row.append([1])
-        row = new_row
-    return IntPolynomial(row[bottom])
+    return _trim(coeffs)
 
 
 def _normalize_denominator(denominator) -> tuple[tuple[int, int], ...]:
@@ -224,15 +165,15 @@ class FactoredRational:
 
     __slots__ = ("numerator", "denominator")
 
-    def __init__(self, numerator: IntPolynomial, denominator=()):
-        self.numerator = numerator
-        # Zero has one canonical encoding: zero numerator, empty denominator.
-        self.denominator = _normalize_denominator(denominator) if numerator.coeffs else ()
+    def __init__(self, numerator: Iterable[int], denominator=()):
+        self.numerator = _trim(numerator)
+        # Zero has one canonical encoding: () over ().
+        self.denominator = _normalize_denominator(denominator) if self.numerator else ()
 
     def expand(self, order: int) -> TruncatedSeries:
         if order < 0:
             raise ValueError(f"order must be >= 0, got {order}")
-        out = list(self.numerator.coeffs[: order + 1])
+        out = list(self.numerator[: order + 1])
         out += [0] * (order + 1 - len(out))
         for m, e in self.denominator:
             for _ in range(e):
@@ -246,7 +187,7 @@ class FactoredRational:
         exact; enough to recover the familiar display shapes, with no claim
         of global minimality.  Each trial division is one O(degree) pass.
         """
-        numerator = list(self.numerator.coeffs)
+        numerator = list(self.numerator)
         remaining: list[tuple[int, int]] = []
         for m, e in self.denominator:
             while e > 0:
@@ -257,7 +198,7 @@ class FactoredRational:
                 e -= 1
             if e > 0:
                 remaining.append((m, e))
-        return FactoredRational(IntPolynomial(numerator), remaining)
+        return FactoredRational(numerator, remaining)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -270,9 +211,25 @@ class FactoredRational:
         return hash(("FactoredRational", self.numerator, self.denominator))
 
     def __repr__(self) -> str:
-        if not self.denominator:
-            return f"FactoredRational({self.numerator!r})"
+        terms = []
+        for i, c in enumerate(self.numerator):
+            if c == 0:
+                continue
+            mag = abs(c)
+            if i == 0:
+                body = str(mag)
+            else:
+                power = "q" if i == 1 else f"q^{i}"
+                body = power if mag == 1 else f"{mag}*{power}"
+            sign = "-" if c < 0 else "+"
+            terms.append((sign, body))
+        text = "0"
+        if terms:
+            first_sign, first_body = terms[0]
+            text = (first_sign if first_sign == "-" else "") + first_body
+            for sign, body in terms[1:]:
+                text += f" {sign} {body}"
         factors = "".join(
             f"(1-q^{m})" + (f"^{e}" if e > 1 else "") for m, e in self.denominator
         )
-        return f"FactoredRational({self.numerator!r} / {factors})"
+        return f"FactoredRational(({text})" + (f" / {factors})" if factors else ")")

@@ -1,6 +1,7 @@
 """Reference computations that only the tests read: the counted partitions
-listed one by one, the unrestricted partition numbers, and the paper's
-difference-3 and distance-(2,2) case tables as quasipolynomials."""
+listed one by one, the unrestricted partition numbers, Gaussian binomials by
+the q-Pascal recurrence, and the paper's difference-3 and distance-(2,2) case
+tables as quasipolynomials."""
 
 from __future__ import annotations
 
@@ -25,6 +26,27 @@ def multiset_sums(parts: Sequence[int], total: int) -> list[int]:
         for j in range(part, total + 1):
             ways[j] += ways[j - part]
     return ways
+
+
+def gauss_binomial_pascal(top: int, bottom: int) -> tuple[int, ...]:
+    """The Gaussian binomial [top, bottom] as a coefficient tuple, by the
+    q-Pascal recurrence: an independent check on `qseries.gauss_binomial`."""
+    if top < 0:
+        raise ValueError(f"top index must be >= 0, got {top}")
+    if bottom < 0 or bottom > top:
+        return ()
+    # [A,B] = [A-1,B-1] + q^B [A-1,B]
+    row = [[1]]
+    for a in range(1, top + 1):
+        new_row = [[1]]
+        for b in range(1, a):
+            entry = [0] * b + row[b]
+            for i, c in enumerate(row[b - 1]):
+                entry[i] += c
+            new_row.append(entry)
+        new_row.append([1])
+        row = new_row
+    return tuple(row[bottom])
 
 
 def iter_specified(n: int, spec) -> Iterator[tuple[int, ...]]:

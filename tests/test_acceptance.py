@@ -19,7 +19,7 @@ from partition_gf.genfun import (
     heine_check,
     qbinomial_alternating_sum,
 )
-from partition_gf.qseries import FactoredRational, IntPolynomial, pochhammer_q
+from partition_gf.qseries import FactoredRational, pochhammer_q
 from reference import total_partition_count
 
 
@@ -95,17 +95,13 @@ def test_criterion_5_explicit_case_tables():
 
 
 def test_criterion_6_displayed_rational_forms():
-    displayed_p2 = FactoredRational(IntPolynomial((0, 0, 0, 0, 1)), [(1, 1), (2, 2)])
+    displayed_p2 = FactoredRational((0, 0, 0, 0, 1), [(1, 1), (2, 2)])
     assert displayed_p2.expand(100) == closed_form_fixed_diff(2).expand(100)
 
-    displayed_p3 = FactoredRational(
-        IntPolynomial((0, 0, 0, 0, 0, 1, 1, 1, -1)), [(2, 2), (3, 2)]
-    )
+    displayed_p3 = FactoredRational((0, 0, 0, 0, 0, 1, 1, 1, -1), [(2, 2), (3, 2)])
     assert displayed_p3.expand(100) == closed_form_fixed_diff(3).expand(100)
 
-    displayed_p22 = FactoredRational(
-        IntPolynomial((0,) * 9 + (1, 1, 1, 1, -1)), [(2, 1), (3, 2), (4, 2)]
-    )
+    displayed_p22 = FactoredRational((0,) * 9 + (1, 1, 1, 1, -1), [(2, 1), (3, 2), (4, 2)])
     assert displayed_p22.expand(100) == closed_form_specified(DistanceSpec((2, 2))).expand(100)
     _report(6, "displayed rational forms for t=2, t=3, (2,2) match the built closed forms to order 100")
 

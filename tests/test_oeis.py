@@ -225,6 +225,15 @@ class TestFetchRemote:
         with pytest.raises(NetworkError):
             oeis.fetch_remote("A128508", endpoint, cache_dir=tmp_path)
 
+    def test_endpoint_is_always_a_base_url(self, bfile_server, tmp_path):
+        # An endpoint naming one b-file is still joined with the requested
+        # id's name, so another sequence's file is never cached under it.
+        root, endpoint = bfile_server
+        oeis.write_local_fixture("A008805", root, n_max=60)
+        with pytest.raises(NetworkError, match="b008805.txt/b000005.txt"):
+            oeis.fetch_remote("A000005", endpoint + "/b008805.txt", cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestWriteLocalFixture:
     def test_provenance_comment(self, tmp_path):
@@ -236,3 +245,9 @@ class TestWriteLocalFixture:
     def test_unknown_sequence(self, tmp_path):
         with pytest.raises(NotFound):
             oeis.write_local_fixture("A999999", tmp_path)
+
+    @pytest.mark.parametrize("sequence_id,first", [("A008805", 4), ("A128508", 5)])
+    def test_n_max_below_first_n_writes_nothing(self, tmp_path, sequence_id, first):
+        with pytest.raises(ValueError, match=rf"^{sequence_id}: n_max 3 is below the first n, {first}$"):
+            oeis.write_local_fixture(sequence_id, tmp_path / "fixtures", n_max=3)
+        assert list(tmp_path.iterdir()) == []

@@ -9,25 +9,26 @@ from partition_gf import qseries
 from partition_gf.errors import InternalError, InvalidExponent, OrderTooLarge
 from partition_gf.qseries import (
     FactoredRational,
-    IntPolynomial,
     TruncatedSeries,
     _divide_by_one_minus_q_power,
     _exact_quotient,
     _multiply_by_one_minus_q_power,
     _times_one_minus_q_powers,
+    _trim,
     gauss_binomial,
-    gauss_binomial_pascal,
     pochhammer_q,
 )
+from reference import gauss_binomial_pascal
 
 
 def P(*coeffs):
-    return IntPolynomial(coeffs)
+    """A polynomial: its coefficient tuple, trailing zeros trimmed."""
+    return _trim(coeffs)
 
 
 def times_factors(poly, *ms):
     """poly * prod (1 - q^m) by the in-place kernel, as a polynomial."""
-    return IntPolynomial(_times_one_minus_q_powers(poly.coeffs, ms))
+    return _trim(_times_one_minus_q_powers(poly, ms))
 
 
 def one_minus_q(m):
@@ -35,11 +36,11 @@ def one_minus_q(m):
 
 
 def schoolbook_product(a, b):
-    out = [0] * (len(a.coeffs) + len(b.coeffs))
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
             out[i + j] += x * y
-    return IntPolynomial(out)
+    return _trim(out)
 
 
 def truncated_product(a, b, order):
@@ -49,24 +50,16 @@ def truncated_product(a, b, order):
     )
 
 
-class TestIntPolynomial:
-    def test_canonical_zero(self):
-        assert IntPolynomial([0, 0, 0]).coeffs == ()
-        assert IntPolynomial([]).coeffs == ()
-        assert IntPolynomial([0]).degree == -1
-        assert IntPolynomial([0, 0]) == IntPolynomial([])
+class TestPolynomialKernels:
+    """Products by factors 1 - q^m, the only products the closed forms take,
+    and exact quotients by them, on coefficient tuples through the in-place
+    kernels."""
 
-    def test_trailing_zeros_trimmed(self):
-        assert P(1, 2, 0, 0).coeffs == (1, 2)
-        assert P(1, 2, 0, 0).degree == 1
-
-    # Products by factors 1 - q^m, the only products the closed forms take,
-    # through the in-place kernel.
     def test_mul_difference_of_squares(self):
         assert times_factors(P(1, 1), 1) == P(1, 0, -1)
 
     def test_mul_zero_absorbs(self):
-        assert times_factors(IntPolynomial(), 3) == IntPolynomial()
+        assert times_factors((), 3) == ()
 
     def test_mul_hand_expansion(self):
         # (1-q)(1-q^2) = 1 - q - q^2 + q^3
@@ -74,12 +67,12 @@ class TestIntPolynomial:
 
     def test_mul_degree_adds(self):
         a = P(-1, 4, 0, 0, 5)
-        assert times_factors(a, 2, 3).degree == a.degree + 5
+        assert len(times_factors(a, 2, 3)) - 1 == len(a) - 1 + 5
 
     def test_mul_commutes(self):
         rng = random.Random(7)
         for _ in range(25):
-            a = IntPolynomial(rng.randrange(-4, 5) for _ in range(rng.randrange(6)))
+            a = P(*(rng.randrange(-4, 5) for _ in range(rng.randrange(6))))
             ms = [rng.randrange(1, 6) for _ in range(rng.randrange(1, 4))]
             assert times_factors(a, *ms) == times_factors(a, *reversed(ms))
             assert times_factors(a, *ms) == functools.reduce(schoolbook_product, map(one_minus_q, ms), a)
@@ -92,14 +85,14 @@ class TestIntPolynomial:
         for _ in range(60):
             m = rng.randrange(1, 6)
             b = one_minus_q(m)
-            quot = IntPolynomial(rng.randrange(-5, 6) for _ in range(rng.randrange(9)))
-            assert _exact_quotient(list(schoolbook_product(quot, b).coeffs), m) == list(quot.coeffs)
-            a = IntPolynomial(rng.randrange(-2, 3) for _ in range(rng.randrange(9)))
-            got = _exact_quotient(list(a.coeffs), m)
-            divisible = all(sum(a.coeffs[r::m]) == 0 for r in range(m))
+            quot = P(*(rng.randrange(-5, 6) for _ in range(rng.randrange(9))))
+            assert _exact_quotient(list(schoolbook_product(quot, b)), m) == list(quot)
+            a = P(*(rng.randrange(-2, 3) for _ in range(rng.randrange(9))))
+            got = _exact_quotient(list(a), m)
+            divisible = all(sum(a[r::m]) == 0 for r in range(m))
             assert (got is not None) == divisible
             if got is not None:
-                assert schoolbook_product(IntPolynomial(got), b) == a
+                assert schoolbook_product(got, b) == a
 
 
 class TestTruncatedSeries:
@@ -134,7 +127,7 @@ class TestSeriesDivision:
         assert coeffs == [1, 1, 1, 1, 1]
 
     def test_self_division_is_one(self):
-        coeffs = list(times_factors(P(1), 2, 3, 4).coeffs[:6])
+        coeffs = list(times_factors(P(1), 2, 3, 4)[:6])
         for m in (2, 3, 4):
             _divide_by_one_minus_q_power(coeffs, m)
         assert coeffs == [1, 0, 0, 0, 0, 0]
@@ -184,10 +177,7 @@ class TestPochhammer:
 
     @pytest.mark.parametrize("m", range(8))
     def test_degree_is_triangular(self, m):
-        if m == 0:
-            assert pochhammer_q(m).degree == 0
-        else:
-            assert pochhammer_q(m).degree == m * (m + 1) // 2
+        assert len(pochhammer_q(m)) - 1 == m * (m + 1) // 2
 
     @pytest.mark.parametrize("m", range(12))
     def test_shifted_specializes_at_one(self, m):
@@ -218,8 +208,8 @@ class TestGaussBinomial:
         assert gauss_binomial(4, 2) == P(1, 1, 2, 1, 1)
 
     def test_out_of_range_is_zero(self):
-        assert gauss_binomial(5, 7) == IntPolynomial()
-        assert gauss_binomial(5, -1) == IntPolynomial()
+        assert gauss_binomial(5, 7) == ()
+        assert gauss_binomial(5, -1) == ()
 
     @pytest.mark.parametrize("top", range(9))
     def test_symmetry(self, top):
@@ -232,9 +222,9 @@ class TestGaussBinomial:
 
         for bottom in range(top + 1):
             poly = gauss_binomial(top, bottom)
-            assert all(c >= 0 for c in poly.coeffs)
-            assert sum(poly.coeffs) == math.comb(top, bottom)
-            assert poly.degree == bottom * (top - bottom)
+            assert all(c >= 0 for c in poly)
+            assert sum(poly) == math.comb(top, bottom)
+            assert len(poly) - 1 == bottom * (top - bottom)
 
     @pytest.mark.parametrize("top", range(17))
     def test_matches_pascal_recurrence(self, top):
@@ -267,8 +257,32 @@ class TestFactoredRational:
         fr = FactoredRational(P(1), [(3, 1), (1, 2), (3, 1)])
         assert fr.denominator == ((1, 2), (3, 2))
 
+    def test_numerator_canonical_zero(self):
+        assert FactoredRational([0, 0, 0]).numerator == ()
+        assert FactoredRational([]).numerator == ()
+        assert FactoredRational([0]).numerator == ()
+        assert FactoredRational([0, 0], [(3, 1)]) == FactoredRational([])
+
+    def test_numerator_trailing_zeros_trimmed(self):
+        assert FactoredRational([1, 2, 0, 0]).numerator == (1, 2)
+        assert FactoredRational([1, 2, 0, 0], [(2, 1)]).numerator == (1, 2)
+
+    @pytest.mark.parametrize(
+        "numerator,denominator,text",
+        [
+            ((), (), "FactoredRational((0))"),
+            ((0, 0), [(2, 1)], "FactoredRational((0))"),
+            ((1, -1), (), "FactoredRational((1 - q))"),
+            ((0, -1, 0, 3, -2), (), "FactoredRational((-q + 3*q^3 - 2*q^4))"),
+            ((-2, 1), [(1, 1), (3, 2)], "FactoredRational((-2 + q) / (1-q^1)(1-q^3)^2)"),
+        ],
+        ids=["zero", "zero-over-factor", "no-denominator", "negative-lead", "signed-constant"],
+    )
+    def test_repr(self, numerator, denominator, text):
+        assert repr(FactoredRational(numerator, denominator)) == text
+
     def test_zero_normalizes(self):
-        fr = FactoredRational(IntPolynomial(), [(2, 1)])
+        fr = FactoredRational((), [(2, 1)])
         assert fr.denominator == ()
         assert fr.expand(5) == TruncatedSeries([0, 0, 0, 0, 0, 0])
 
@@ -292,7 +306,7 @@ class TestFactoredRational:
             (P(1, 2, 0, -1), [(2, 1)], ((2, 1),)),  # degree >= m, division inexact
             (P(0, 1, 0, -1), [(2, 3)], ((2, 2),)),  # q(1-q^2): one of three factors cancels
             (P(1, -1), [(1, 1), (2, 1)], ((2, 1),)),  # cancels the first factor only
-            (IntPolynomial(), [(2, 1)], ()),  # zero numerator
+            ((), [(2, 1)], ()),  # zero numerator
         ],
         ids=["below-m", "inexact", "partial-power", "first-only", "zero"],
     )
