@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from .counting import DistanceSpec  # re-exported
-from .counting import _coerce_spec, _packed_divide, _slot_bits, _unpack, divisor_count
+from .counting import _coerce_spec, _packed_divide, _slot_bits, _unpack, divisor_count, fixed_diff_table
 from .errors import InvalidExponent, OutOfRange
 from .qseries import (
     FactoredRational,
@@ -161,13 +161,9 @@ def p1_identity_check(order: int) -> bool:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     summed = direct_series_specified((1,), order)
-
-    rational = list(FactoredRational((0, 1), [(1, 2)]).expand(order).coeffs)
-    for m in range(1, order + 1):  # subtract sum_m q^m/(1-q^m), a divisor sieve
-        for j in range(m, order + 1, m):
-            rational[j] -= 1
-    subtracted = TruncatedSeries(rational)
-
+    rational = FactoredRational((0, 1), [(1, 2)]).expand(order).coeffs
+    # fixed_diff_table(0, n) sieves the divisor counts: sum_m q^m/(1-q^m)
+    subtracted = TruncatedSeries([r - d for r, d in zip(rational, fixed_diff_table(0, order))])
     counted = TruncatedSeries([0] + [n - divisor_count(n) for n in range(1, order + 1)])
     return summed == subtracted == counted
 
@@ -176,21 +172,11 @@ def heine_check(a_exp: int, b_exp: int, c_exp: int, z_exp: int, order: int) -> b
     """Verify Heine's transformation at a = q^a_exp, b = q^b_exp, c = q^c_exp,
     z = q^z_exp through q^order:
 
-        sum_{m>=0} (a)_m (b)_m z^m / ((q)_m (c)_m)
-          = (c/b)_oo (bz)_oo / ((c)_oo (z)_oo)
-            * sum_{j>=0} (abz/c)_j (b)_j (c/b)^j / ((q)_j (bz)_j)
+        2phi1(a, b; c; z) = (c/b)_oo (bz)_oo / ((c)_oo (z)_oo) * 2phi1(abz/c, b; bz; c/b)
 
-    The m-th term of the left sum starts exactly at q^{z_exp * m}, so the sum
-    stops at m = order // z_exp, the last term that reaches the order.  The
-    two sides are computed independently, each term stepped from the one
-    before by its ratio, one in-place (1-q^e) pass per factor.  At integer
-    exponents the infinite products telescope to
-    prod_{e=c-b}^{c-1} (1-q^e) / prod_{e=z}^{z+b-1} (1-q^e), 2b passes.  The
-    right sum's (abz/c)_j may involve q to negative powers; each such factor
-    1 - q^{-e} is rewritten as -q^{-e}(1 - q^e).  Term j then starts at
-    q^{offset_j}, and offset_j grows by at least 1 per term (by c - b, or by
-    a + z + j - 1 when a factor was rewritten), so every term is a power series
-    and the sum stops at the first term past the order.
+    Both sides are summed by `_two_phi_one`.  At integer exponents the
+    infinite products telescope to
+    prod_{e=c-b}^{c-1} (1-q^e) / prod_{e=z}^{z+b-1} (1-q^e), 2b passes.
     """
     for name, e in (("a_exp", a_exp), ("b_exp", b_exp), ("c_exp", c_exp), ("z_exp", z_exp)):
         if e < 1:
@@ -201,48 +187,47 @@ def heine_check(a_exp: int, b_exp: int, c_exp: int, z_exp: int, order: int) -> b
         )
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-
-    lhs = [0] * (order + 1)
-    term = [1] + [0] * order  # m = 0
-    for m in range(0, order // z_exp + 1):
-        if m > 0:
-            # term_m = term_{m-1} * (1-q^{a+m-1})(1-q^{b+m-1}) q^z / ((1-q^m)(1-q^{c+m-1}))
-            _multiply_by_one_minus_q_power(term, a_exp + m - 1)
-            _multiply_by_one_minus_q_power(term, b_exp + m - 1)
-            term = [0] * z_exp + term[: order + 1 - z_exp]  # m >= 1 only if z_exp <= order
-            _divide_by_one_minus_q_power(term, m)
-            _divide_by_one_minus_q_power(term, c_exp + m - 1)
-        for j in range(order + 1):
-            lhs[j] += term[j]
-    return lhs == _heine_right_side(a_exp, b_exp, c_exp, z_exp, order)
+    args = (a_exp, b_exp, c_exp, z_exp, order)
+    return _two_phi_one(*args) == _heine_right_side(*args)
 
 
 def _heine_right_side(a_exp: int, b_exp: int, c_exp: int, z_exp: int, order: int) -> list[int]:
-    """The transformed side of `heine_check` through q^order: term j is
-    sign * q^offset * P_j with P_j = (abz/c)_j (b)_j / ((q)_j (bz)_j), the
-    factors of (abz/c)_j with negative exponent rewritten as above."""
-    cb = c_exp - b_exp
-    s = a_exp + b_exp + z_exp - c_exp  # exponent in (abz/c)_j
+    """The transformed side of `heine_check` through q^order."""
+    s, cb = a_exp + b_exp + z_exp - c_exp, c_exp - b_exp  # exponents of abz/c and c/b
+    total = _two_phi_one(s, b_exp, b_exp + z_exp, cb, order)
+    for e in range(cb, c_exp):
+        _multiply_by_one_minus_q_power(total, e)
+    for e in range(z_exp, z_exp + b_exp):
+        _divide_by_one_minus_q_power(total, e)
+    return total
+
+
+def _two_phi_one(a: int, b: int, c: int, z: int, order: int) -> list[int]:
+    """2phi1(q^a, q^b; q^c; q^z) = sum_{j>=0} (q^a)_j (q^b)_j q^{zj} / ((q)_j (q^c)_j)
+    through q^order, for b, c, z >= 1 and a + z >= 1.
+
+    Term j is sign * q^offset * P_j, each P_j stepped from P_{j-1} by one
+    in-place (1-q^e) pass per factor.  A factor 1 - q^e of (q^a)_j with e < 0
+    is rewritten as -q^e (1 - q^{-e}), and 1 - q^0 zeroes every later term.
+    The offset grows by z + min(e, 0) >= 1 per term, as e >= a, so every term
+    is a power series and the sum stops at the first term past the order.
+    """
     total = [0] * (order + 1)
     term = [1] + [0] * order  # P_0
     offset, sign = 0, 1
     for j in range(order + 2):  # offset >= j, so term order + 1 is past the order
         if j > 0:
-            # P_j = P_{j-1} (1-q^{|s+j-1|})(1-q^{b+j-1}) / ((1-q^j)(1-q^{b+z+j-1}))
-            e = s + j - 1
-            offset += cb + min(e, 0)
+            # P_j = P_{j-1} (1-q^{|a+j-1|})(1-q^{b+j-1}) / ((1-q^j)(1-q^{c+j-1}))
+            e = a + j - 1
+            offset += z + min(e, 0)
             if e == 0 or offset > order:
-                break  # 1 - q^0 zeroes every later term; or they all start past the order
+                break
             if e < 0:
                 sign = -sign
             _multiply_by_one_minus_q_power(term, abs(e))
-            _multiply_by_one_minus_q_power(term, b_exp + j - 1)
+            _multiply_by_one_minus_q_power(term, b + j - 1)
             _divide_by_one_minus_q_power(term, j)
-            _divide_by_one_minus_q_power(term, b_exp + z_exp + j - 1)
+            _divide_by_one_minus_q_power(term, c + j - 1)
         for idx in range(order + 1 - offset):
             total[offset + idx] += sign * term[idx]
-    for e in range(cb, c_exp):
-        _multiply_by_one_minus_q_power(total, e)
-    for e in range(z_exp, z_exp + b_exp):
-        _divide_by_one_minus_q_power(total, e)
     return total

@@ -25,7 +25,12 @@ from partition_gf.genfun import (
     qbinomial_alternating_sum,
     series,
 )
-from partition_gf.qseries import gauss_binomial, pochhammer_q
+from partition_gf.qseries import (
+    FactoredRational,
+    _times_one_minus_q_powers,
+    gauss_binomial,
+    pochhammer_q,
+)
 from reference import gauss_binomial_pascal, iter_specified
 
 
@@ -343,6 +348,20 @@ class TestHeine:
 
         monkeypatch.setattr(genfun, "_heine_right_side", corrupted)
         assert not heine_check(1, 1, 5, 2, 40)
+
+
+@pytest.mark.parametrize(
+    "n,b,c", [(n, b, c) for n in range(7) for b in range(1, 4) for c in range(b + 1, b + 5)]
+)
+def test_two_phi_one_q_chu_vandermonde(n, b, c):
+    # 2phi1(q^-n, q^b; q^c; q^{c-b+n}) = (q^{c-b})_n / (q^c)_n: a terminating
+    # sum whose factors 1 - q^{-n+i} all have negative exponent.
+    products = FactoredRational(
+        _times_one_minus_q_powers([1], range(c - b, c - b + n)), [(c + i, 1) for i in range(n)]
+    )
+    for order in (0, 9, 40):
+        expected = list(products.expand(order).coeffs)
+        assert genfun._two_phi_one(-n, b, c, c - b + n, order) == expected
 
 
 # sha256 over the reprs of the closed forms and Gaussian binomials, one per

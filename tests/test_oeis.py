@@ -2,7 +2,9 @@
 
 import functools
 import http.server
+import runpy
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -250,4 +252,29 @@ class TestWriteLocalFixture:
     def test_n_max_below_first_n_writes_nothing(self, tmp_path, sequence_id, first):
         with pytest.raises(ValueError, match=rf"^{sequence_id}: n_max 3 is below the first n, {first}$"):
             oeis.write_local_fixture(sequence_id, tmp_path / "fixtures", n_max=3)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestMakeFixtures:
+    @pytest.fixture
+    def make_fixtures(self):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
+        return runpy.run_path(str(script))["main"]
+
+    def test_n_max_below_a_first_n_exits_2_and_writes_nothing(self, make_fixtures, tmp_path, capsys):
+        assert make_fixtures(["3", str(tmp_path / "fx")]) == 2
+        assert capsys.readouterr().err == "A008805: n_max 3 is below the first n, 4\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_oracle_off_by_one_exits_1_and_writes_nothing(
+        self, make_fixtures, tmp_path, capsys, monkeypatch
+    ):
+        def shifted(n_max):  # p(n+1, 2) at index n
+            return counting.fixed_diff_table(2, n_max + 1)[1:]
+
+        description, _, first = oeis.KNOWN_SEQUENCES["A008805"]
+        monkeypatch.setitem(oeis.KNOWN_SEQUENCES, "A008805", (description, shifted, first))
+        assert make_fixtures(["40", str(tmp_path / "fx")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("A008805: the oracle gives 3 at n = 5,")
         assert list(tmp_path.iterdir()) == []

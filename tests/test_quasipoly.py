@@ -414,6 +414,11 @@ CLI_GOLDEN = {
         "a289e8e6d1aceab1238f022b9668eb9b218c35be7e2dfec62b2260826b16e779",
     ("verify", "--suite", "routes", "--t-max", "8", "--n-max", "150"):
         "862c0d26454208734483ca2e34141038d368b21bfce2ee908bfa43686444b77d",
+    # captured before both sides of Heine's transformation were summed by one 2phi1
+    ("verify", "--suite", "identities", "--t-max", "8", "--order", "200"):
+        "9951a80d98eba00315f2000ff4e7545ba510d290d25c383f681ad89e0725f131",
+    ("verify", "--suite", "all"):
+        "c5858f3e208f72e480327c4e173d2651b16ba9f30245a57ac394997b09cb6c97",
 }
 
 
