@@ -10,8 +10,9 @@ to compare a fresh regeneration against the shipped files.
 
 The oracles are the counting tables that `oeis` checks the fixtures against,
 so before anything is written every oracle value is compared with a formula
-the oracle does not use.  A difference exits 1, and an n_max below some
-sequence's first n exits 2; either way nothing is written.
+the oracle does not use.  A difference exits 1, and an n_max that is not an
+integer or is below some sequence's first n exits 2; either way nothing is
+written.
 """
 
 import math
@@ -32,7 +33,14 @@ INDEPENDENT = {
 
 
 def main(argv: list[str]) -> int:
-    n_max = int(argv[0]) if argv else 400
+    try:
+        n_max = int(argv[0]) if argv else 400
+    except ValueError:
+        print(
+            f"usage: make_fixtures.py [n_max] [directory]; n_max {argv[0]!r} is not an integer",
+            file=sys.stderr,
+        )
+        return 2
     if len(argv) > 1:
         target = Path(argv[1])
     else:

@@ -303,14 +303,10 @@ def cmd_oeis(args) -> int:
         raise UsageError(f"--n-max must be >= 1, got {args.n_max}")
     ids = args.id if args.id else sorted(oeis.KNOWN_SEQUENCES)
     _require_first_n(ids, args.n_max)
-    if args.fetch and not args.endpoint:
-        raise UsageError("--fetch requires --endpoint")
-    if args.endpoint is not None and not args.fetch:
-        raise UsageError("--endpoint is read only with --fetch")
     failures = 0
     for sequence_id in ids:
-        if args.fetch:
-            oeis.fetch_remote(sequence_id, args.endpoint, cache_dir=args.fixtures_dir)
+        if args.fetch is not None:
+            oeis.fetch_remote(sequence_id, args.fetch, cache_dir=args.fixtures_dir)
         report, last_n = oeis.cross_check_known(sequence_id, args.fixtures_dir, args.n_max)
         _note_clip(sequence_id, args.n_max, last_n)
         print(report.summary())
@@ -359,8 +355,7 @@ def _oeis_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fixtures-dir", help=_FIXTURES_HELP)
     p.add_argument("--id", action="append", help="sequence id, repeatable (default: all known)")
     p.add_argument("--n-max", type=int, default=400)
-    p.add_argument("--fetch", action="store_true", help="refresh the fixture from --endpoint")
-    p.add_argument("--endpoint", default=None, help="base URL serving b-files")
+    p.add_argument("--fetch", metavar="ENDPOINT", help="refresh fixtures from this b-file base URL")
 
 
 # name -> (help, add_arguments, func), in the order `-h` lists them.

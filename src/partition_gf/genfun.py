@@ -124,9 +124,9 @@ def closed_form_specified(spec) -> FactoredRational:
 
 def series(spec, order: int) -> TruncatedSeries:
     """The generating function for `spec` through q^order: the closed form's
-    expansion where one exists, else the direct sum."""
+    expansion where one exists and order >= spec.min_weight, else the direct sum."""
     spec = _coerce_spec(spec)
-    if spec.has_closed_form:
+    if spec.has_closed_form and spec.min_weight <= order:
         return closed_form_specified(spec).expand(order)
     return direct_series_specified(spec, order)
 

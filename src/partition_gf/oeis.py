@@ -49,29 +49,13 @@ CALIBRATION_MIN_RUN = 10
 _GENERATION_OFFSETS = {"A000005": 0, "A049820": 0, "A008805": -4, "A128508": 0}
 
 
-class SequenceFixture:
-    """An (index, value) table whose value for counting argument n sits at
-    index n + offset."""
+class SequenceFixture(NamedTuple):
+    """An (index, value) table, indices strictly increasing, whose value for
+    counting argument n sits at index n + offset."""
 
-    __slots__ = ("id", "entries", "offset", "_by_index")
-
-    def __init__(self, id: str, entries: tuple[tuple[int, int], ...], offset: int = 0):
-        indices = [i for i, _ in entries]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise ParseError(f"{id}: indices must be strictly increasing")
-        self.id, self.entries, self.offset = id, entries, offset
-        self._by_index = dict(entries)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SequenceFixture) and (
-            (self.id, self.entries, self.offset) == (other.id, other.entries, other.offset)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.id, self.entries, self.offset))
-
-    def __repr__(self) -> str:
-        return f"SequenceFixture(id={self.id!r}, entries={self.entries!r}, offset={self.offset!r})"
+    id: str
+    entries: tuple[tuple[int, int], ...]
+    offset: int = 0
 
 
 def bfile_name(sequence_id: str) -> str:
@@ -95,23 +79,23 @@ def parse_bfile(text: str, sequence_id: str) -> SequenceFixture:
             index, value = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"{sequence_id} line {lineno}: non-integer field in {raw!r}") from None
+        if entries and index <= entries[-1][0]:
+            raise ParseError(f"{sequence_id}: indices must be strictly increasing")
         entries.append((index, value))
     if not entries:
         raise ParseError(f"{sequence_id}: no data lines")
     return SequenceFixture(sequence_id, tuple(entries))
 
 
-def default_fixtures_dir() -> Path:
-    env = os.environ.get("PARTITION_GF_FIXTURES")
-    if env:
-        return Path(env)
-    return Path(__file__).with_name("data")
+def default_fixtures_dir(fixtures_dir: str | Path | None = None) -> Path:
+    if fixtures_dir is not None:
+        return Path(fixtures_dir)
+    return Path(os.environ.get("PARTITION_GF_FIXTURES") or Path(__file__).with_name("data"))
 
 
 def load_fixture(sequence_id: str, fixtures_dir: str | Path | None = None) -> SequenceFixture:
     """Load and parse a fixture b-file; NotFound when the file is missing."""
-    directory = Path(fixtures_dir) if fixtures_dir is not None else default_fixtures_dir()
-    path = directory / bfile_name(sequence_id)
+    path = default_fixtures_dir(fixtures_dir) / bfile_name(sequence_id)
     if not path.is_file():
         raise NotFound(f"no fixture for {sequence_id} at {path}")
     return parse_bfile(path.read_text(encoding="utf-8"), sequence_id)
@@ -129,7 +113,7 @@ def calibrate_offset(fixture: SequenceFixture, reference: Mapping[int, int]) -> 
     if not reference:
         raise CalibrationError("reference values are empty")
     ns = sorted(reference)
-    by_index = fixture._by_index
+    by_index = dict(fixture.entries)
     best: tuple[int, int] | None = None  # (matches, -|offset|) winner
     best_offset = None
     for offset in range(fixture.entries[0][0] - ns[-1], fixture.entries[-1][0] - ns[0] + 1):
@@ -157,7 +141,7 @@ def calibrate_offset(fixture: SequenceFixture, reference: Mapping[int, int]) -> 
             f"{fixture.id}: no offset aligns >= {CALIBRATION_MIN_RUN} consecutive values "
             "with the reference"
         )
-    return SequenceFixture(fixture.id, fixture.entries, best_offset)
+    return fixture._replace(offset=best_offset)
 
 
 def oracle_values(sequence_id: str, n_max: int) -> dict[int, int]:
@@ -186,10 +170,11 @@ class CrossCheckReport(NamedTuple):
 
 def cross_check(fixture: SequenceFixture, computed: Mapping[int, int]) -> CrossCheckReport:
     """Compare computed values against the fixture over their index overlap."""
+    by_index = dict(fixture.entries)
     mismatches = []
     checked = 0
     for n in sorted(computed):
-        expected = fixture._by_index.get(n + fixture.offset)
+        expected = by_index.get(n + fixture.offset)
         if expected is None:
             continue
         checked += 1
@@ -214,8 +199,6 @@ def cross_check_known(
     the fixture.  Returns the report and the last n the calibrated fixture
     covers.
     """
-    if sequence_id not in KNOWN_SEQUENCES:
-        raise NotFound(f"no local oracle registered for {sequence_id}")
     fixture = load_fixture(sequence_id, fixtures_dir)
     first, last = fixture.entries[0][0], fixture.entries[-1][0]
     reach = last - first + CALIBRATION_N_MAX
@@ -236,34 +219,21 @@ def fetch_remote(
     """Fetch a b-file from an OEIS-format endpoint and cache it locally.
 
     The endpoint is a base URL, joined with the b-file name.  The raw text is
-    parsed first and cached only on success, with a write-to-temp-then-rename
-    so readers never see partial files.
+    parsed first and cached only on success.  A malformed URL is a
+    NetworkError, as an unreachable one is.
     """
     # Imported here, for --fetch alone: the network stack would add tens of
     # milliseconds to every start of the command line.
-    import tempfile
-    import urllib.error
     import urllib.request
 
     url = endpoint.rstrip("/") + "/" + bfile_name(sequence_id)
     try:
         with urllib.request.urlopen(url, timeout=timeout) as response:
             text = response.read().decode("utf-8")
-    except (urllib.error.URLError, OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # URLError is an OSError, a bad decode a ValueError
         raise NetworkError(f"fetching {url} failed: {exc}") from exc
     fixture = parse_bfile(text, sequence_id)
-    directory = Path(cache_dir) if cache_dir is not None else default_fixtures_dir()
-    directory.mkdir(parents=True, exist_ok=True)
-    target = directory / bfile_name(sequence_id)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=target.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_path, target)
-    except OSError:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    _store(sequence_id, default_fixtures_dir(cache_dir), text)
     return fixture
 
 
@@ -282,11 +252,23 @@ def write_local_fixture(
         raise ValueError(f"{sequence_id}: n_max {n_max} is below the first n, {first}")
     description = KNOWN_SEQUENCES[sequence_id][0]
     offset = _GENERATION_OFFSETS[sequence_id]
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / bfile_name(sequence_id)
     lines = [f"# {sequence_id}: {description}, generated locally by partition_gf"]
     for n, value in values.items():
         lines.append(f"{n + offset} {value}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _store(sequence_id, directory, "\n".join(lines) + "\n")
+
+
+def _store(sequence_id: str, directory: str | Path, text: str) -> Path:
+    """Write the b-file for `sequence_id` into `directory`, creating it: the
+    text goes to a temporary name beside the target and is renamed over it,
+    so that readers never see a partial file."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    target = directory / bfile_name(sequence_id)
+    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return target

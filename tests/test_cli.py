@@ -411,25 +411,27 @@ class TestOeisCommand:
         assert err.count("n-max 1000 clipped to 400") == 4
 
     def test_fetch_requires_endpoint(self, capsys):
-        code, _, _ = run(capsys, "oeis", "--id", "A000005", "--fetch")
-        assert code == EXIT_USAGE
-
-    def test_endpoint_requires_fetch(self, capsys):
-        code, out, err = run(
-            capsys, "oeis", "--id", "A008805", "--n-max", "50", "--endpoint", "http://x"
-        )
-        assert code == EXIT_USAGE
-        assert out == ""
-        assert "--endpoint is read only with --fetch" in err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["oeis", "--id", "A000005", "--fetch"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert "argument --fetch: expected one argument" in capsys.readouterr().err
 
     def test_dead_endpoint_is_io_error(self, capsys, tmp_path):
         code, _, err = run(
-            capsys, "oeis", "--id", "A000005", "--fetch",
-            "--endpoint", "http://127.0.0.1:1",
+            capsys, "oeis", "--id", "A000005", "--fetch", "http://127.0.0.1:1",
             "--fixtures-dir", str(tmp_path),
         )
         assert code == EXIT_IO
         assert "error" in err
+
+    @pytest.mark.parametrize("endpoint", ["notaurl", ""])
+    def test_malformed_endpoint_is_io_error(self, capsys, tmp_path, endpoint):
+        code, out, err = run(
+            capsys, "oeis", "--id", "A000005", "--fetch", endpoint, "--fixtures-dir", str(tmp_path)
+        )
+        assert (code, out) == (EXIT_IO, "")
+        assert err.startswith(f"error: fetching {endpoint}/b000005.txt failed: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_fixture_is_io_error(self, capsys, tmp_path):
         code, _, _ = run(
@@ -501,7 +503,7 @@ HELP = {
     ),
     "oeis": (
         "usage: partition-gf oeis [-h] [--fixtures-dir FIXTURES_DIR] [--id ID]\n"
-        "                         [--n-max N_MAX] [--fetch] [--endpoint ENDPOINT]\n"
+        "                         [--n-max N_MAX] [--fetch ENDPOINT]\n"
         "\n"
         "options:\n"
         "  -h, --help            show this help message and exit\n"
@@ -510,8 +512,7 @@ HELP = {
         "                        packaged data)\n"
         "  --id ID               sequence id, repeatable (default: all known)\n"
         "  --n-max N_MAX\n"
-        "  --fetch               refresh the fixture from --endpoint\n"
-        "  --endpoint ENDPOINT   base URL serving b-files\n"
+        "  --fetch ENDPOINT      refresh fixtures from this b-file base URL\n"
     ),
 }
 

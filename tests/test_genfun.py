@@ -170,6 +170,15 @@ class TestSeriesDispatch:
         monkeypatch.setattr(genfun, "closed_form_specified", None)
         assert series((1, 1), 20) == direct_series_specified((1, 1), 20)
 
+    def test_no_closed_form_below_the_first_count(self, monkeypatch):
+        # Coefficients below min_weight (602 here) are 0: no closed form of
+        # degree ~ t^2 is built to say so.
+        def refuse(spec):
+            raise AssertionError("closed form built below min_weight")
+
+        monkeypatch.setattr(genfun, "closed_form_specified", refuse)
+        assert series((600,), 5).coeffs == (0,) * 6
+
 
 class TestDirectSeriesSpecified:
     def test_two_two_prefix(self):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from partition_gf import counting, oeis
+from partition_gf.cli import EXIT_OK, main
 from partition_gf.errors import (
     CalibrationError,
     EmptyOverlap,
@@ -48,6 +49,11 @@ class TestParseBFile:
     def test_non_monotone_indices(self):
         with pytest.raises(ParseError):
             oeis.parse_bfile("2 1\n1 1\n", "A000005")
+
+    def test_repr(self):
+        assert repr(oeis.parse_bfile("1 1\n", "A000005")) == (
+            "SequenceFixture(id='A000005', entries=((1, 1),), offset=0)"
+        )
 
     def test_empty(self):
         with pytest.raises(ParseError):
@@ -236,6 +242,35 @@ class TestFetchRemote:
             oeis.fetch_remote("A000005", endpoint + "/b008805.txt", cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_fetched_and_written_files_get_one_mode(self, bfile_server, tmp_path):
+        root, endpoint = bfile_server
+        written = oeis.write_local_fixture("A000005", root, n_max=60)
+        oeis.fetch_remote("A000005", endpoint, cache_dir=tmp_path)
+        assert (tmp_path / written.name).stat().st_mode == written.stat().st_mode
+
+    def test_failed_rename_leaves_no_file(self, bfile_server, tmp_path, monkeypatch):
+        root, endpoint = bfile_server
+        oeis.write_local_fixture("A000005", root, n_max=60)
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(oeis.os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            oeis.write_local_fixture("A000005", tmp_path / "written", n_max=60)
+        with pytest.raises(OSError, match="rename refused"):
+            oeis.fetch_remote("A000005", endpoint, cache_dir=tmp_path / "fetched")
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+    def test_cli_fetch_round_trip(self, bfile_server, tmp_path, capsys):
+        root, endpoint = bfile_server
+        served = oeis.write_local_fixture("A008805", root, n_max=80)
+        cache = tmp_path / "cache"
+        argv = ["oeis", "--id", "A008805", "--n-max", "80", "--fetch", endpoint]
+        assert main(argv + ["--fixtures-dir", str(cache)]) == EXIT_OK
+        assert capsys.readouterr().out == "A008805: 77 values compared, pass\n"
+        assert (cache / served.name).read_bytes() == served.read_bytes()
+
 
 class TestWriteLocalFixture:
     def test_provenance_comment(self, tmp_path):
@@ -260,6 +295,13 @@ class TestMakeFixtures:
     def make_fixtures(self):
         script = Path(__file__).resolve().parent.parent / "scripts" / "make_fixtures.py"
         return runpy.run_path(str(script))["main"]
+
+    def test_non_integer_n_max_exits_2_and_writes_nothing(self, make_fixtures, tmp_path, capsys):
+        assert make_fixtures(["abc", str(tmp_path / "fx")]) == 2
+        assert capsys.readouterr().err == (
+            "usage: make_fixtures.py [n_max] [directory]; n_max 'abc' is not an integer\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_n_max_below_a_first_n_exits_2_and_writes_nothing(self, make_fixtures, tmp_path, capsys):
         assert make_fixtures(["3", str(tmp_path / "fx")]) == 2

@@ -419,6 +419,9 @@ CLI_GOLDEN = {
         "9951a80d98eba00315f2000ff4e7545ba510d290d25c383f681ad89e0725f131",
     ("verify", "--suite", "all"):
         "c5858f3e208f72e480327c4e173d2651b16ba9f30245a57ac394997b09cb6c97",
+    # captured before SequenceFixture became a NamedTuple and b-files one writer
+    ("oeis",):
+        "d392d7b2f58eb08f7810070408e9516ded367fb691693ab680f55b7b3aaccf91",
 }
 
 
