@@ -1,6 +1,10 @@
 """Command-line interface: compute counts, emit series coefficients, run the
 verification suites, fit quasipolynomials, and cross-check OEIS fixtures.
 
+Two parsers read one option table, `COMMANDS`: `_plain_args` reads a plain
+command line with no parser built, and the argparse parser of `build_parser`
+reads any other argv and writes every help text and usage error.
+
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage error, 3 I/O or network error.
 """
@@ -146,6 +150,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.output == "":
+        raise UsageError("--output needs a file name")
     distances = parse_distances(args.distances)
     if distances is None:
         raise UsageError("difference 0 has no quasipolynomial (the counts are divisor counts)")
@@ -316,61 +322,50 @@ def cmd_oeis(args) -> int:
 
 
 _FIXTURES_HELP = "fixture directory (default: $PARTITION_GF_FIXTURES or packaged data)"
+_FORMAT = ("--format", {"choices": ["text", "csv", "json"], "default": "text"})
 
-
-def _compute_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--distances", required=True, help="comma-separated, e.g. 2,2 (or 0 alone)")
-    p.add_argument(
-        "--method", choices=["enumerate", "series", "quasipoly", "all"], default="enumerate"
-    )
-
-
-def _series_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    p.add_argument("--distances", required=True)
-    p.add_argument("--order", type=int, required=True)
-
-
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fixtures-dir", help=_FIXTURES_HELP)
-    p.add_argument(
-        "--suite",
-        choices=["routes", "identities", "asymptotics", "oeis", "all"],
-        default="all",
-    )
-    p.add_argument("--t-max", type=int, default=6)
-    p.add_argument("--n-max", type=int, default=120)
-    p.add_argument("--order", type=int, default=60)
-
-
-def _fit_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--distances", required=True)
-    p.add_argument("--order", type=int, default=None, help="expansion order (default: auto)")
-    p.add_argument("--output", default=None, help="write JSON here instead of stdout")
-
-
-def _oeis_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fixtures-dir", help=_FIXTURES_HELP)
-    p.add_argument("--id", action="append", help="sequence id, repeatable (default: all known)")
-    p.add_argument("--n-max", type=int, default=400)
-    p.add_argument("--fetch", metavar="ENDPOINT", help="refresh fixtures from this b-file base URL")
-
-
-# name -> (help, add_arguments, func), in the order `-h` lists them.
+# name -> (help, func, options), in the order `-h` lists them.  Each option
+# is (flag, add_argument keywords), in the order each command's `-h` lists it.
 COMMANDS = {
-    "compute": ("count partitions for one n", _compute_arguments, cmd_compute),
-    "series": ("emit coefficients 0..N", _series_arguments, cmd_series),
-    "verify": ("run invariant suites", _verify_arguments, cmd_verify),
-    "fit": ("fit and emit a quasipolynomial", _fit_arguments, cmd_fit),
-    "oeis": ("cross-check fixtures offline or fetch", _oeis_arguments, cmd_oeis),
+    "compute": ("count partitions for one n", cmd_compute, (
+        _FORMAT,
+        ("--n", {"type": int, "required": True}),
+        ("--distances", {"required": True, "help": "comma-separated, e.g. 2,2 (or 0 alone)"}),
+        ("--method", {
+            "choices": ["enumerate", "series", "quasipoly", "all"], "default": "enumerate",
+        }),
+    )),
+    "series": ("emit coefficients 0..N", cmd_series, (
+        _FORMAT,
+        ("--distances", {"required": True}),
+        ("--order", {"type": int, "required": True}),
+    )),
+    "verify": ("run invariant suites", cmd_verify, (
+        ("--fixtures-dir", {"help": _FIXTURES_HELP}),
+        ("--suite", {
+            "choices": ["routes", "identities", "asymptotics", "oeis", "all"], "default": "all",
+        }),
+        ("--t-max", {"type": int, "default": 6}),
+        ("--n-max", {"type": int, "default": 120}),
+        ("--order", {"type": int, "default": 60}),
+    )),
+    "fit": ("fit and emit a quasipolynomial", cmd_fit, (
+        ("--distances", {"required": True}),
+        ("--order", {"type": int, "default": None, "help": "expansion order (default: auto)"}),
+        ("--output", {"default": None, "help": "write JSON here instead of stdout"}),
+    )),
+    "oeis": ("cross-check fixtures offline or fetch", cmd_oeis, (
+        ("--fixtures-dir", {"help": _FIXTURES_HELP}),
+        ("--id", {"action": "append", "help": "sequence id, repeatable (default: all known)"}),
+        ("--n-max", {"type": int, "default": 400}),
+        ("--fetch", {"metavar": "ENDPOINT", "help": "refresh fixtures from this b-file base URL"}),
+    )),
 }
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser with every command, or with `command` alone when it names
-    one, so that a run builds only the subparser it uses."""
+    one.  `main` builds it only for an argv that `_plain_args` declines."""
     parser = argparse.ArgumentParser(
         prog="partition-gf",
         description="Exact partition counts with fixed largest-smallest "
@@ -384,16 +379,46 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     metavar = {"metavar": "{" + ",".join(COMMANDS) + "}"} if len(names) == 1 else {}
     sub = parser.add_subparsers(dest="command", required=True, **metavar)
     for name in names:
-        help_text, add_arguments, func = COMMANDS[name]
+        help_text, func, options = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
     return parser
 
 
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives for `command (--flag value)...`, where
+    each flag is one of the command's own, spelled in full, and no value
+    starts with "-"; None for any other argv, or for one argparse would
+    reject, so that argparse reads it and writes the help or the error."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, func, options = COMMANDS[argv[0]]
+    given: dict[str, list[str]] = {flag: [] for flag, _ in options}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in given or value.startswith("-"):
+            return None
+        given[flag].append(value)
+    args = argparse.Namespace(command=argv[0], func=func)
+    for flag, kwargs in options:
+        try:
+            values = [kwargs.get("type", str)(value) for value in given[flag]]
+        except ValueError:
+            return None
+        if any(value not in kwargs.get("choices", (value,)) for value in values):
+            return None
+        if kwargs.get("action") == "append" and values:
+            values = [values]
+        if not values and kwargs.get("required"):
+            return None
+        setattr(args, flag[2:].replace("-", "_"), values[-1] if values else kwargs.get("default"))
+    return args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _plain_args(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, PeriodTooLarge) as exc:

@@ -47,7 +47,7 @@ class TruncatedSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        self.coeffs: tuple[int, ...] = tuple(int(c) for c in coeffs)
+        self.coeffs: tuple[int, ...] = tuple(map(int, coeffs))
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
 

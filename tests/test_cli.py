@@ -1,24 +1,32 @@
 """Command-line surface: formats, exit codes, and the verify suites."""
 
+import contextlib
+import io
+import itertools
 import json
 import shlex
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partition_gf import counting, genfun, quasipoly
 from partition_gf.cli import (
+    COMMANDS,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAIL,
     UsageError,
+    _plain_args,
     build_parser,
     main,
     parse_distances,
 )
 from partition_gf.qseries import TruncatedSeries
+from test_startup import JOBS
 
 
 def run(capsys, *argv):
@@ -290,6 +298,11 @@ class TestFit:
         assert code == EXIT_USAGE
         assert "need >=" in err
 
+    def test_empty_output_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "fit", "--distances", "3", "--output", "")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: --output needs a file name\n"
+
 
 class TestPeriodCap:
     """Above period lcm(1..12) every quasipolynomial route refuses before
@@ -519,9 +532,10 @@ HELP = {
 
 USAGE = "usage: partition-gf [-h] {compute,series,verify,fit,oeis} ...\n"
 
-# Frozen top-level (exit code, stdout, stderr) at 80 columns.  Each run
-# builds only the parser of the command its first argument names, so the
-# usage line of an error after a command must still list every command.
+# Frozen top-level (exit code, stdout, stderr) at 80 columns.  None of these
+# argvs is a plain command line, so argparse reads each, with a parser that
+# holds only the command the first argument names: the usage line of an
+# error after a command must still list every command.
 TOP_LEVEL = {
     ("-h",): (
         EXIT_OK,
@@ -617,6 +631,79 @@ class TestArgparseBehaviour:
             main([command, "-h"])
         assert excinfo.value.code == EXIT_OK
         assert capsys.readouterr().out == HELP[command]
+
+
+ALL_FLAGS = sorted({flag for _, _, options in COMMANDS.values() for flag, _ in options})
+CHOICES = sorted(
+    {choice for _, _, options in COMMANDS.values() for _, kwargs in options
+     for choice in kwargs.get("choices", ())}
+)
+VALUES = ["5", "-5", "", "x", " 7", "magic", *CHOICES]
+
+
+@st.composite
+def _argvs(draw):
+    """Mostly pairs of one of the command's own flags and a value, among
+    abbreviations, `--flag=value`, `-h`, `--`, other commands' flags and
+    lone tokens."""
+    command = draw(st.sampled_from([*COMMANDS, "comp"]))
+    options = COMMANDS[command][2] if command in COMMANDS else [(f, {}) for f in ALL_FLAGS]
+    own = [flag for flag, _ in options]
+    flag = st.one_of(
+        st.sampled_from(own),
+        st.sampled_from(own).flatmap(lambda f: st.integers(3, len(f)).map(lambda i: f[:i])),
+        st.sampled_from([*ALL_FLAGS, "-h", "--help", "--"]),
+    )
+    value = st.sampled_from(VALUES)
+
+    def good_values(kwargs):
+        return kwargs.get("choices", ["5", " 7"] if "type" in kwargs else ["5", " 7", "x", ""])
+
+    pair = st.sampled_from(options).flatmap(
+        lambda option: st.sampled_from(good_values(option[1])).map(lambda v: [option[0], v])
+    )
+    noise = st.one_of(
+        st.tuples(flag, value).map(list),
+        st.tuples(flag, value).map(lambda fv: [f"{fv[0]}={fv[1]}"]),
+        flag.map(lambda f: [f]),
+        value.map(lambda v: [v]),
+    )
+    items = draw(st.lists(pair, max_size=5))
+    for extra in draw(st.lists(noise, max_size=2)):
+        items.insert(draw(st.integers(0, len(items))), extra)
+    return [command, *itertools.chain.from_iterable(items)]
+
+
+class TestPlainArgs:
+    """`main` reads a plain command line with `_plain_args` and hands every
+    other argv to argparse."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(argv=_argvs())
+    def test_a_namespace_it_gives_is_the_one_argparse_gives(self, argv):
+        plain = _plain_args(argv)
+        if plain is None:
+            return
+        try:
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                parsed = build_parser(argv[0]).parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse rejects {argv!r}: {err.getvalue()}")
+        assert vars(plain) == vars(parsed)
+
+    def test_plain_runs_build_no_parser(self, capsys, monkeypatch):
+        def refuse(command=None):
+            raise AssertionError("built a parser")
+
+        monkeypatch.setattr("partition_gf.cli.build_parser", refuse)
+        for argv in [*JOBS, ["oeis", "--id", "A000005", "--id", "A049820", "--n-max", "60"]]:
+            code, _, err = run(capsys, *argv)
+            assert code == EXIT_OK, (argv, err)
+
+    def test_other_spellings_reach_argparse(self, capsys):
+        argv = ["compute", "--n=11", "--dist", "2,2"]
+        assert _plain_args(argv) is None
+        assert run(capsys, *argv) == run(capsys, "compute", "--n", "11", "--distances", "2,2")
 
 
 def _readme_command_lines():
