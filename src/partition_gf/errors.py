@@ -57,9 +57,5 @@ class NetworkError(PartitionGFError):
     """A remote fetch failed."""
 
 
-class CalibrationError(PartitionGFError):
-    """No index offset aligns a fixture with its reference values."""
-
-
 class EmptyOverlap(PartitionGFError):
     """A cross-check had no indices in common with the computed values."""

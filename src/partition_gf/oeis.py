@@ -1,5 +1,5 @@
-"""OEIS-style sequence fixtures: b-file parsing, offset calibration against
-the enumeration oracle, cross-checks, and an opt-in remote fetch.
+"""OEIS-style sequence fixtures: b-file parsing, cross-checks against the
+enumeration oracle, and an opt-in remote fetch.
 
 Fixtures live as plain b-files ("index value" per line, '#' comments) in a
 directory resolved from, in order: an explicit argument, the
@@ -7,10 +7,10 @@ PARTITION_GF_FIXTURES environment variable, and the data files shipped with
 the package.  Tests never need the network; fetch_remote exists for
 refreshing caches from a live endpoint.
 
-OEIS index conventions drift relative to the counting functions (A008805 is
-shifted by 4 against the difference-2 counts), so every fixture's offset
-(index = n + offset) is calibrated by matching a run of consecutive values
-against the local oracle instead of being hard-coded.
+OEIS indices need not equal the counting argument: A008805 starts at index
+0 with the difference-2 count at n = 4.  Each known sequence's offset
+(index = n + offset) is pinned in OFFSETS, so a b-file written at another
+alignment fails its cross-check.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
 from . import counting
-from .errors import CalibrationError, EmptyOverlap, NetworkError, NotFound, ParseError
+from .errors import EmptyOverlap, NetworkError, NotFound, ParseError
 
 _ID_PATTERN = re.compile(r"^A(\d+)$")
 
-# Sequences the package knows how to regenerate and calibrate locally.
+# Sequences the package knows how to regenerate and check locally.
 # Each oracle builds one counting table: n_max -> values at n = 0..n_max.
 KNOWN_SEQUENCES: dict[str, tuple[str, Callable[[int], list[int]], int]] = {
     # id: (description, oracle n_max -> values, first n the oracle covers)
@@ -39,14 +39,10 @@ KNOWN_SEQUENCES: dict[str, tuple[str, Callable[[int], list[int]], int]] = {
     "A128508": ("difference-3 partition counts", lambda n_max: counting.fixed_diff_table(3, n_max), 5),
 }
 
-# Calibration matches the oracle's values at n <= CALIBRATION_N_MAX, and an
-# offset must align at least CALIBRATION_MIN_RUN consecutive values.
-CALIBRATION_N_MAX = 50
-CALIBRATION_MIN_RUN = 10
-
-# Index written for the first oracle n when regenerating a fixture locally
-# (the real OEIS offsets: A008805 starts at index 0 with its n=4 value).
-_GENERATION_OFFSETS = {"A000005": 0, "A049820": 0, "A008805": -4, "A128508": 0}
+# Each sequence's value at counting argument n sits at b-file index
+# n + offset, in the fixtures written here and in those loaded: the real OEIS
+# offsets, so A008805 starts at index 0 with its n = 4 value.
+OFFSETS = {"A000005": 0, "A049820": 0, "A008805": -4, "A128508": 0}
 
 
 class SequenceFixture(NamedTuple):
@@ -93,55 +89,16 @@ def default_fixtures_dir(fixtures_dir: str | Path | None = None) -> Path:
     return Path(os.environ.get("PARTITION_GF_FIXTURES") or Path(__file__).with_name("data"))
 
 
-def load_fixture(sequence_id: str, fixtures_dir: str | Path | None = None) -> SequenceFixture:
-    """Load and parse a fixture b-file; NotFound when the file is missing."""
+def load_calibrated(sequence_id: str, fixtures_dir: str | Path | None = None) -> SequenceFixture:
+    """Load a known sequence's b-file at its pinned offset; NotFound when
+    the sequence is unknown or its file is missing."""
+    if sequence_id not in OFFSETS:
+        raise NotFound(f"no offset pinned for {sequence_id}")
     path = default_fixtures_dir(fixtures_dir) / bfile_name(sequence_id)
     if not path.is_file():
         raise NotFound(f"no fixture for {sequence_id} at {path}")
-    return parse_bfile(path.read_text(encoding="utf-8"), sequence_id)
-
-
-def calibrate_offset(fixture: SequenceFixture, reference: Mapping[int, int]) -> SequenceFixture:
-    """Find the offset b with fixture[n + b] == reference[n] on at least
-    CALIBRATION_MIN_RUN consecutive n.
-
-    A candidate offset must agree on its entire overlap with the reference;
-    among consistent candidates the largest overlap wins (then the smallest
-    |offset|), so short runs of coincidences at a wrong alignment lose to the
-    true one.
-    """
-    if not reference:
-        raise CalibrationError("reference values are empty")
-    ns = sorted(reference)
-    by_index = dict(fixture.entries)
-    best: tuple[int, int] | None = None  # (matches, -|offset|) winner
-    best_offset = None
-    for offset in range(fixture.entries[0][0] - ns[-1], fixture.entries[-1][0] - ns[0] + 1):
-        run = 0
-        longest = 0
-        total = 0
-        for n in ns:
-            value = by_index.get(n + offset)
-            if value is None:
-                run = 0
-                continue
-            if value != reference[n]:
-                break
-            run += 1
-            total += 1
-            longest = max(longest, run)
-        else:  # no disagreement anywhere in the overlap
-            if total > 0 and longest >= CALIBRATION_MIN_RUN:
-                score = (total, -abs(offset))
-                if best is None or score > best:
-                    best = score
-                    best_offset = offset
-    if best_offset is None:
-        raise CalibrationError(
-            f"{fixture.id}: no offset aligns >= {CALIBRATION_MIN_RUN} consecutive values "
-            "with the reference"
-        )
-    return fixture._replace(offset=best_offset)
+    fixture = parse_bfile(path.read_text(encoding="utf-8"), sequence_id)
+    return fixture._replace(offset=OFFSETS[sequence_id])
 
 
 def oracle_values(sequence_id: str, n_max: int) -> dict[int, int]:
@@ -190,24 +147,14 @@ def cross_check(fixture: SequenceFixture, computed: Mapping[int, int]) -> CrossC
 def cross_check_known(
     sequence_id: str, fixtures_dir: str | Path | None, n_max: int
 ) -> tuple[CrossCheckReport, int]:
-    """Calibrate a known fixture and cross-check it on n_start..n_max, both
-    against one oracle table.
-
-    Calibration reads the table's n <= CALIBRATION_N_MAX values.  A calibrated
-    offset aligns some such n, so it is at least the first index minus
-    CALIBRATION_N_MAX, and the table stops where no offset could still reach
-    the fixture.  Returns the report and the last n the calibrated fixture
-    covers.
-    """
-    fixture = load_fixture(sequence_id, fixtures_dir)
-    first, last = fixture.entries[0][0], fixture.entries[-1][0]
-    reach = last - first + CALIBRATION_N_MAX
-    values = oracle_values(sequence_id, max(CALIBRATION_N_MAX, min(n_max, reach)))
-    fixture = calibrate_offset(
-        fixture, {n: v for n, v in values.items() if n <= CALIBRATION_N_MAX}
-    )
-    report = cross_check(fixture, {n: v for n, v in values.items() if n <= n_max})
-    return report, last - fixture.offset
+    """Cross-check a known fixture against one oracle table through n_max,
+    clipped to the last n the fixture covers.  Returns the report and that
+    last n."""
+    fixture = load_calibrated(sequence_id, fixtures_dir)
+    last_n = fixture.entries[-1][0] - fixture.offset
+    # A b-file may end below n = 0, where no counting table reaches.
+    report = cross_check(fixture, oracle_values(sequence_id, max(0, min(n_max, last_n))))
+    return report, last_n
 
 
 def fetch_remote(
@@ -251,7 +198,7 @@ def write_local_fixture(
         first = KNOWN_SEQUENCES[sequence_id][2]
         raise ValueError(f"{sequence_id}: n_max {n_max} is below the first n, {first}")
     description = KNOWN_SEQUENCES[sequence_id][0]
-    offset = _GENERATION_OFFSETS[sequence_id]
+    offset = OFFSETS[sequence_id]
     lines = [f"# {sequence_id}: {description}, generated locally by partition_gf"]
     for n, value in values.items():
         lines.append(f"{n + offset} {value}")

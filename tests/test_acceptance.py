@@ -141,10 +141,7 @@ def test_criterion_9_row_sums():
 
 def test_criterion_10_oeis_fixtures():
     for sequence_id in sorted(oeis.KNOWN_SEQUENCES):
-        fixture = oeis.calibrate_offset(
-            oeis.load_fixture(sequence_id),
-            oeis.oracle_values(sequence_id, oeis.CALIBRATION_N_MAX),
-        )
+        fixture = oeis.load_calibrated(sequence_id)
         computed = oeis.oracle_values(sequence_id, 400)
         report = oeis.cross_check(fixture, computed)
         assert report.ok, report.summary()

@@ -1,4 +1,4 @@
-"""b-file parsing, offset calibration, cross-checks, and the remote fetch."""
+"""b-file parsing, pinned offsets, cross-checks, and the remote fetch."""
 
 import functools
 import http.server
@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 
 from partition_gf import counting, oeis
-from partition_gf.cli import EXIT_OK, main
+from partition_gf.cli import EXIT_OK, EXIT_VERIFY_FAIL, main
 from partition_gf.errors import (
-    CalibrationError,
     EmptyOverlap,
     NetworkError,
     NotFound,
@@ -19,13 +18,6 @@ from partition_gf.errors import (
 )
 
 SHIPPED = sorted(oeis.KNOWN_SEQUENCES)
-
-
-def calibrated(sequence_id):
-    return oeis.calibrate_offset(
-        oeis.load_fixture(sequence_id),
-        oeis.oracle_values(sequence_id, oeis.CALIBRATION_N_MAX),
-    )
 
 
 class TestParseBFile:
@@ -68,17 +60,32 @@ class TestParseBFile:
 class TestLoadFixture:
     def test_missing_raises_not_found(self, tmp_path):
         with pytest.raises(NotFound):
-            oeis.load_fixture("A000005", tmp_path)
+            oeis.load_calibrated("A000005", tmp_path)
+
+    def test_unknown_sequence_raises_not_found(self, tmp_path):
+        (tmp_path / "b999999.txt").write_text("1 1\n", encoding="utf-8")
+        with pytest.raises(NotFound, match="no offset pinned for A999999"):
+            oeis.load_calibrated("A999999", tmp_path)
 
     @pytest.mark.parametrize("sequence_id", SHIPPED)
     def test_shipped_fixtures_load(self, sequence_id):
-        fixture = oeis.load_fixture(sequence_id)
+        fixture = oeis.load_calibrated(sequence_id)
         assert len(fixture.entries) >= 390
+
+    def test_divisor_fixture_loads_at_zero(self):
+        fixture = oeis.load_calibrated("A000005")
+        assert fixture.offset == 0
+        assert dict(fixture.entries)[12 + fixture.offset] == 6
+
+    def test_difference_two_fixture_loads_at_minus_four(self):
+        fixture = oeis.load_calibrated("A008805")
+        assert fixture.offset == -4
+        assert dict(fixture.entries)[8 + fixture.offset] == counting.count_specified(8, (2,))
 
     def test_env_var_controls_directory(self, tmp_path, monkeypatch):
         oeis.write_local_fixture("A000005", tmp_path, n_max=30)
         monkeypatch.setenv("PARTITION_GF_FIXTURES", str(tmp_path))
-        fixture = oeis.load_fixture("A000005")
+        fixture = oeis.load_calibrated("A000005")
         assert len(fixture.entries) == 30
 
 
@@ -120,63 +127,78 @@ class TestCrossCheckKnown:
         report, last_n = oeis.cross_check_known("A128508", tmp_path, 300)
         assert (report.checked, last_n) == (76, 80)
 
+    def test_oracle_table_stops_at_the_fixture(self, capsys, monkeypatch):
+        # The table runs through min(n-max, the last n the fixture covers):
+        # no further to reach a fixture that ends at n = 400, and no further
+        # than n-max to line one up.
+        description, oracle, first = oeis.KNOWN_SEQUENCES["A008805"]
+        built = []
 
-class TestCalibration:
-    def test_divisor_fixture_aligns_at_zero(self):
-        fixture = calibrated("A000005")
-        assert fixture.offset == 0
-        assert dict(fixture.entries)[12 + fixture.offset] == 6
+        def recording(n_max):
+            built.append(n_max)
+            return oracle(n_max)
 
-    def test_difference_two_fixture_needs_shift(self):
-        fixture = calibrated("A008805")
-        assert fixture.offset == -4
-        assert dict(fixture.entries)[8 + fixture.offset] == counting.count_specified(8, (2,))
+        monkeypatch.setitem(oeis.KNOWN_SEQUENCES, "A008805", (description, recording, first))
+        assert main(["oeis", "--id", "A008805", "--n-max", "450"]) == EXIT_OK
+        assert main(["oeis", "--id", "A008805", "--n-max", "4"]) == EXIT_OK
+        assert built == [400, 4]
+        out = capsys.readouterr().out
+        assert out == "A008805: 397 values compared, pass\nA008805: 1 values compared, pass\n"
 
-    def test_no_alignment_raises(self):
-        fixture = oeis.parse_bfile("1 10\n2 20\n3 30\n", "A000005")
-        with pytest.raises(CalibrationError):
-            oeis.calibrate_offset(fixture, {n: n * n for n in range(1, 20)})
+    def test_fixture_below_n_zero_is_empty_overlap(self, tmp_path):
+        (tmp_path / "b000005.txt").write_text("-5 1\n-4 2\n", encoding="utf-8")
+        with pytest.raises(EmptyOverlap):
+            oeis.cross_check_known("A000005", tmp_path, 100)
 
-    @staticmethod
-    def _blocks(*blocks):
-        # Each (offset, ns) block holds fixture[n + offset] = n for n in ns.
-        entries = sorted((n + offset, n) for offset, ns in blocks for n in ns)
-        return oeis.SequenceFixture("A000005", tuple(entries))
 
-    def test_more_matches_wins_over_smaller_offset(self):
-        fixture = self._blocks((-1, range(1, 13)), (999, range(1, 21)))
-        calibrated = oeis.calibrate_offset(fixture, {n: n for n in range(1, 31)})
-        assert calibrated.offset == 999
-        assert calibrated.entries == fixture.entries
+def shifted_copy(sequence_id, shift, directory):
+    """Copy every shipped b-file into `directory`, with `sequence_id`'s
+    indices all moved by `shift`."""
+    for other in SHIPPED:
+        text = (oeis.default_fixtures_dir() / oeis.bfile_name(other)).read_text(encoding="utf-8")
+        if other == sequence_id:
+            lines = [
+                line if line.startswith("#") else f"{int(line.split()[0]) + shift} {line.split()[1]}"
+                for line in text.splitlines()
+            ]
+            text = "\n".join(lines) + "\n"
+        (directory / oeis.bfile_name(other)).write_text(text, encoding="utf-8")
 
-    def test_equal_matches_smaller_offset_wins(self):
-        # The |offset| = 40 candidate is scanned first; the tie still goes to 5.
-        fixture = self._blocks((-40, range(41, 53)), (5, range(41, 53)))
-        calibrated = oeis.calibrate_offset(fixture, {n: n for n in range(41, 61)})
-        assert calibrated.offset == 5
 
-    def test_one_disagreement_rejects_a_long_run(self):
-        entries = [(i, 999 if i == 25 else i) for i in range(1, 31)]
-        entries += [(n + 199, n) for n in range(1, 13)]
-        fixture = oeis.SequenceFixture("A000005", tuple(entries))
-        reference = {n: n for n in range(1, 31)}
-        assert oeis.calibrate_offset(fixture, reference).offset == 199
-        alone = oeis.SequenceFixture("A000005", tuple(entries[:30]))
-        with pytest.raises(CalibrationError):
-            oeis.calibrate_offset(alone, reference)
+class TestPinnedOffsets:
+    """A b-file at another alignment than its pinned offset fails: the
+    fixture cannot choose the alignment it is checked at."""
+
+    SHIFTS = [("A128508", 1), ("A000005", -3)]
+
+    @pytest.mark.parametrize("sequence_id,shift", SHIFTS)
+    def test_oeis_command_fails_a_shifted_fixture(self, tmp_path, capsys, sequence_id, shift):
+        shifted_copy(sequence_id, shift, tmp_path)
+        argv = ["oeis", "--id", sequence_id, "--fixtures-dir", str(tmp_path), "--n-max", "400"]
+        assert main(argv) == EXIT_VERIFY_FAIL
+        out = capsys.readouterr().out
+        assert out.startswith(f"{sequence_id}: ") and "FAIL" in out
+
+    @pytest.mark.parametrize("sequence_id,shift", SHIFTS)
+    def test_verify_fails_only_the_shifted_fixture(self, tmp_path, capsys, sequence_id, shift):
+        shifted_copy(sequence_id, shift, tmp_path)
+        assert main(["verify", "--suite", "oeis", "--fixtures-dir", str(tmp_path)]) == EXIT_VERIFY_FAIL
+        out = capsys.readouterr().out
+        assert f"FAIL oeis/{sequence_id}: {sequence_id}: " in out
+        assert out.endswith("3/4 checks passed\n")
 
 
 class TestCrossCheck:
     @pytest.mark.parametrize("sequence_id", SHIPPED)
     def test_shipped_fixtures_match_oracle(self, sequence_id):
-        fixture = calibrated(sequence_id)
-        computed = oeis.oracle_values(sequence_id, 200)
+        fixture = oeis.load_calibrated(sequence_id)
+        computed = oeis.oracle_values(sequence_id, 400)
         report = oeis.cross_check(fixture, computed)
         assert report.ok
-        assert report.checked >= 190
+        assert report.checked >= 390
 
     def test_corrupted_value_yields_single_mismatch(self):
-        fixture = calibrated("A000005")
+        fixture = oeis.load_calibrated("A000005")
         entries = list(fixture.entries)
         index = entries.index((40, counting.divisor_count(40)))
         entries[index] = (40, 999)
@@ -213,7 +235,7 @@ class TestFetchRemote:
         root, endpoint = bfile_server
         oeis.write_local_fixture("A000005", root, n_max=60)
         fetched = oeis.fetch_remote("A000005", endpoint, cache_dir=tmp_path)
-        cached = oeis.load_fixture("A000005", tmp_path)
+        cached = oeis.load_calibrated("A000005", tmp_path)
         assert fetched == cached
         assert len(fetched.entries) == 60
 
