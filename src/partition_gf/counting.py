@@ -14,6 +14,8 @@ for t > k the closed form is a third route that shares none of them.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from typing import Sequence
 
 from .errors import InvalidDistance
@@ -152,9 +154,19 @@ def _packed_divide(packed: int, powers, mask: int, w: int) -> int:
 
 
 def _unpack(packed: int, size: int, w: int) -> list[int]:
-    """The low `size` slots of `packed`, w bits each (a multiple of 8), lowest first."""
-    raw, step = (packed & ((1 << size * w) - 1)).to_bytes(size * w // 8, "little"), w // 8
-    return [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
+    """The low `size` slots of `packed`, w bits each (a multiple of 8), lowest first.  Each
+    64-bit limb of every slot, low limb first, is gathered by strided byte-slice copies into
+    one native 8-byte word a slot (bytes placed by sys.byteorder) and read at once by a "Q"
+    memoryview; `map` shifts each higher limb into place."""
+    step = w // 8
+    raw = (packed & ((1 << size * w) - 1)).to_bytes(size * step, "little")
+    for low in range(0, step, 8):
+        limb = bytearray(8 * size)
+        for byte in range(low, min(low + 8, step)):
+            limb[byte - low if sys.byteorder == "little" else 7 - byte + low :: 8] = raw[byte::step]
+        words, shifts = memoryview(limb).cast("Q").tolist(), [8 * low] * size
+        slots = words if low == 0 else list(map(operator.or_, slots, map(operator.lshift, words, shifts)))
+    return slots
 
 
 def _slot_bits(n_max: int, t: int) -> int:

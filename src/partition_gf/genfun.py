@@ -10,9 +10,10 @@ Every generating function is available by two routes that must agree:
 
 The closed form exists when the total distance t exceeds k (t > 1 for a
 fixed difference); below that the series is not rational and only the
-direct route applies.  `series` picks the route.  `closed_form_fixed_diff`
-is the paper's displayed form for one distance, kept as an independent
-check on `closed_form_specified`.
+direct route applies.  It is P_spec = q^{W - C(k+1,2)} R_{t,k}, W the
+weighted total, and each R_{t,k} is built once per process.  `series` picks
+the route.  `closed_form_fixed_diff` is the paper's displayed form for one
+distance, kept as an independent check on `closed_form_specified`.
 
 The module also verifies, at truncated-series level, the two classical
 identities the closed forms rest on: Heine's transformation of basic
@@ -22,7 +23,9 @@ q-binomial theorem.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 from .counting import DistanceSpec  # re-exported
 from .counting import _coerce_spec, _packed_divide, _slot_bits, _unpack, divisor_count, fixed_diff_table
@@ -95,25 +98,32 @@ def closed_form_fixed_diff(t: int) -> FactoredRational:
 
 
 def closed_form_specified(spec) -> FactoredRational:
-    """The rational form for specified distances, total t > k:
+    """The rational form for specified distances, total t > k, W the weighted total:
 
-        (-1)^k q^{W - C(k+1,2)} ( sum_{j=0}^{k} [t,j] (-1)^j q^{C(j+1,2)} - (q)_t )
-        / ( [t-1,k] (1-q^t) (q)_t )
+        P_spec = q^{W - C(k+1,2)} R_{t,k},
+        R_{t,k} = (-1)^k ( sum_{j=0}^{k} [t,j] (-1)^j q^{C(j+1,2)} - (q)_t ) / ( [t-1,k] (1-q^t) (q)_t )
 
-    The Gaussian binomial in the denominator is cleared through
-    [t-1,k] = (q)_{t-1} / ((q)_k (q)_{t-1-k}): the complementary Pochhammers
-    join the numerator as one in-place (1-q^m) pass each, (q)_{t-1} joins the
-    (1-q^m) denominator multiset, and common factors are cancelled by exact
-    division.  The rows [t,j] of the sum are stepped from one to the next.
+    R_{t,k} (`_closed_core`) is built and reduced once per process; the shift
+    is prepended to its numerator, as exact division by 1-q^m commutes with it.
     """
     spec = _coerce_spec(spec)
-    t, k, weighted = spec.total, spec.k, spec.weighted_total
+    t, k = spec.total, spec.k
     if not spec.has_closed_form:
         raise OutOfRange(f"closed form requires total distance > k, got t={t}, k={k}")
+    core, lead_exp = _closed_core(t, k), spec.weighted_total - math.comb(k + 1, 2)  # >= 0
+    return FactoredRational([0] * lead_exp + list(core.numerator), core.denominator)
+
+
+@functools.cache
+def _closed_core(t: int, k: int) -> FactoredRational:
+    """R_{t,k}, reduced.  The Gaussian binomial in the denominator is cleared through
+    [t-1,k] = (q)_{t-1} / ((q)_k (q)_{t-1-k}): the complementary Pochhammers join the
+    numerator as one in-place (1-q^m) pass each, (q)_{t-1} joins the (1-q^m) denominator
+    multiset, and common factors are cancelled by exact division.  The rows [t,j] of the
+    sum are stepped from one to the next."""
     partial, poch = _alternating_sum(t, range(k + 1)), pochhammer_q(t)
     core = [(-1) ** k * (a - p) for a, p in zip(partial, poch)]  # of equal length
-    lead_exp = weighted - math.comb(k + 1, 2)  # >= 0 since each distance is >= 1
-    numerator = _times_one_minus_q_powers([0] * lead_exp + core, [*range(1, k + 1), *range(1, t - k)])
+    numerator = _times_one_minus_q_powers(core, [*range(1, k + 1), *range(1, t - k)])
     denominator = (
         [(m, 1) for m in range(1, t)]      # (q)_{t-1}
         + [(t, 1)]                         # 1 - q^t
@@ -211,6 +221,8 @@ def _two_phi_one(a: int, b: int, c: int, z: int, order: int) -> list[int]:
     is rewritten as -q^e (1 - q^{-e}), and 1 - q^0 zeroes every later term.
     The offset grows by z + min(e, 0) >= 1 per term, as e >= a, so every term
     is a power series and the sum stops at the first term past the order.
+    P_j is cut to order + 1 - offset coefficients, the length of total[offset:]
+    it is added to, before its passes: each (1-q^m) pass is exact on a prefix.
     """
     total = [0] * (order + 1)
     term = [1] + [0] * order  # P_0
@@ -224,10 +236,10 @@ def _two_phi_one(a: int, b: int, c: int, z: int, order: int) -> list[int]:
                 break
             if e < 0:
                 sign = -sign
+            del term[order + 1 - offset :]
             _multiply_by_one_minus_q_power(term, abs(e))
             _multiply_by_one_minus_q_power(term, b + j - 1)
             _divide_by_one_minus_q_power(term, j)
             _divide_by_one_minus_q_power(term, c + j - 1)
-        for idx in range(order + 1 - offset):
-            total[offset + idx] += sign * term[idx]
+        total[offset:] = map(operator.add if sign > 0 else operator.sub, total[offset:], term)
     return total

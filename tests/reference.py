@@ -1,13 +1,24 @@
 """Reference computations that only the tests read: the counted partitions
 listed one by one, the unrestricted partition numbers, Gaussian binomials by
-the q-Pascal recurrence, and the paper's difference-3 and distance-(2,2) case
-tables as quasipolynomials."""
+the q-Pascal recurrence, the paper's difference-3 and distance-(2,2) case
+tables as quasipolynomials, and the closed form built for one spec and the
+2phi1 sum with full-length terms, against which genfun's shared (t, k) cores
+and cut terms are checked."""
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Sequence
 
 from partition_gf.counting import _coerce_spec
+from partition_gf.genfun import _alternating_sum
+from partition_gf.qseries import (
+    FactoredRational,
+    _divide_by_one_minus_q_power,
+    _multiply_by_one_minus_q_power,
+    _times_one_minus_q_powers,
+    pochhammer_q,
+)
 from partition_gf.quasipoly import _P3_CASES, _P22_CASES, QuasiPolynomial
 
 
@@ -84,3 +95,40 @@ def p3_quasipolynomial() -> QuasiPolynomial:
 def p22_quasipolynomial() -> QuasiPolynomial:
     """The distance-(2,2) case table as a QuasiPolynomial (period 12, degree 4)."""
     return QuasiPolynomial(12, 4, tuple(_P22_CASES[r] for r in range(12)), 6912)
+
+
+def closed_form_specified_one_spec(spec) -> FactoredRational:
+    """`genfun.closed_form_specified` built for this one spec, the shift
+    q^{W - C(k+1,2)} applied to the numerator before the (1-q^m) passes and
+    the reduction, with no form shared between specs."""
+    spec = _coerce_spec(spec)
+    t, k = spec.total, spec.k
+    partial, poch = _alternating_sum(t, range(k + 1)), pochhammer_q(t)
+    core = [(-1) ** k * (a - p) for a, p in zip(partial, poch)]
+    lead_exp = spec.weighted_total - math.comb(k + 1, 2)
+    numerator = _times_one_minus_q_powers([0] * lead_exp + core, [*range(1, k + 1), *range(1, t - k)])
+    denominator = [(m, 1) for m in range(1, t)] + [(t, 1)] + [(m, 1) for m in range(1, t + 1)]
+    return FactoredRational(numerator, denominator).reduce()
+
+
+def two_phi_one_full_length(a: int, b: int, c: int, z: int, order: int) -> list[int]:
+    """`genfun._two_phi_one` with every term carried at full length order + 1
+    and added index by index."""
+    total = [0] * (order + 1)
+    term = [1] + [0] * order
+    offset, sign = 0, 1
+    for j in range(order + 2):
+        if j > 0:
+            e = a + j - 1
+            offset += z + min(e, 0)
+            if e == 0 or offset > order:
+                break
+            if e < 0:
+                sign = -sign
+            _multiply_by_one_minus_q_power(term, abs(e))
+            _multiply_by_one_minus_q_power(term, b + j - 1)
+            _divide_by_one_minus_q_power(term, j)
+            _divide_by_one_minus_q_power(term, c + j - 1)
+        for idx in range(order + 1 - offset):
+            total[offset + idx] += sign * term[idx]
+    return total

@@ -265,6 +265,19 @@ def test_route_check_fails_when_one_route_is_wrong(
         assert len(right) == 1 and int(values[route]) == right.pop() + 1
 
 
+def test_route_suite_builds_one_closed_form_core_per_class(capsys, monkeypatch):
+    # The 78 grid specs fall into 15 (t, k) classes, plus (t, 1) for t = 2..6;
+    # a second run in the same process builds none.
+    real, classes = genfun._alternating_sum, []
+    monkeypatch.setattr(genfun, "_alternating_sum", lambda t, js: classes.append((t, js)) or real(t, js))
+    genfun._closed_core.cache_clear()
+    for built in (20, 0):
+        classes.clear()
+        code, _, _ = run(capsys, "verify", "--suite", "routes", "--t-max", "6")
+        assert code == EXIT_OK
+        assert len(classes) == len(set(classes)) == built
+
+
 class TestFit:
     def test_difference_three_summary(self, capsys, tmp_path):
         target = tmp_path / "qp.json"

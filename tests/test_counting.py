@@ -2,6 +2,7 @@
 
 import functools
 import math
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from partition_gf import counting, genfun
 from partition_gf.cli import main
 from partition_gf.counting import (
     _slot_bits,
+    _unpack,
     count_specified,
     divisor_count,
     fixed_diff_table,
@@ -279,3 +281,16 @@ class TestQueryDispatch:
             divisor_count(0)
         with pytest.raises(InvalidDistance):
             count_specified(5, (1, 0))
+
+
+@pytest.mark.parametrize("w", range(8, 257, 8))
+def test_unpack_round_trips_one_to_four_limbs(w):
+    # Slots written byte by byte, with bits above them (and a borrow from above
+    # the window) that the unpacking must drop.
+    rng, top = random.Random(w), (1 << w) - 1
+    for size in (1, 2, 121, 2001):
+        for edge in (0, top):
+            slots = [edge] + [rng.choice((0, top, rng.getrandbits(w))) for _ in range(size - 1)]
+            packed = int.from_bytes(b"".join(s.to_bytes(w // 8, "little") for s in slots), "little")
+            assert _unpack(packed + (rng.getrandbits(64) << size * w), size, w) == slots
+            assert _unpack(packed - (1 << (size + 1) * w), size, w) == slots

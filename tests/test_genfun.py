@@ -7,6 +7,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from partition_gf import cli, genfun
 from partition_gf.counting import divisor_count, fixed_diff_table, specified_table
@@ -31,7 +33,12 @@ from partition_gf.qseries import (
     gauss_binomial,
     pochhammer_q,
 )
-from reference import gauss_binomial_pascal, iter_specified
+from reference import (
+    closed_form_specified_one_spec,
+    gauss_binomial_pascal,
+    iter_specified,
+    two_phi_one_full_length,
+)
 
 
 class TestDistanceSpec:
@@ -371,6 +378,26 @@ def test_two_phi_one_q_chu_vandermonde(n, b, c):
     for order in (0, 9, 40):
         expected = list(products.expand(order).coeffs)
         assert genfun._two_phi_one(-n, b, c, c - b + n, order) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.integers(-8, 8),
+    b=st.integers(1, 6),
+    c=st.integers(1, 8),
+    z=st.integers(1, 9),
+    order=st.integers(0, 60),
+)
+@example(a=-3, b=2, c=4, z=5, order=40)  # three sign flips, then 1 - q^0 ends the sum
+@example(a=1, b=1, c=9, z=1, order=60)  # every term down to one coefficient
+def test_two_phi_one_matches_full_length_terms(a, b, c, z, order):
+    assume(a + z >= 1)
+    assert genfun._two_phi_one(a, b, c, z, order) == two_phi_one_full_length(a, b, c, z, order)
+
+
+@pytest.mark.parametrize("spec", [*cli._specified_grid(), *((t,) for t in range(2, 13))], ids=str)
+def test_closed_form_matches_one_spec_build(spec):
+    assert closed_form_specified(spec) == closed_form_specified_one_spec(spec)
 
 
 # sha256 over the reprs of the closed forms and Gaussian binomials, one per
