@@ -2,8 +2,8 @@
 verification suites, fit quasipolynomials, and cross-check OEIS fixtures.
 
 Two parsers read one option table, `COMMANDS`: `_plain_args` reads a plain
-command line with no parser built, and the argparse parser of `build_parser`
-reads any other argv and writes every help text and usage error.
+command line with no parser built, and any other argv goes to the argparse
+parser of `build_parser`, which writes every help text and usage error.
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage error, 3 I/O or network error.
@@ -14,13 +14,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-
-# Not used here: argparse imports locale for its first message (through
-# gettext) and shutil for the terminal width of a parser.  Importing them
-# with the module keeps those imports out of each run of an already-imported
-# CLI, as in a process forked after start-up.
-import locale  # noqa: F401
-import shutil  # noqa: F401
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -178,9 +171,10 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _specified_grid(max_k: int = 3, max_distance: int = 4):
-    for k in range(2, max_k + 1):
-        for distances in itertools.product(range(1, max_distance + 1), repeat=k):
+def _specified_grid():
+    """Every (t1..tk) with k = 2 or 3, each ti in 1..4 and t > k: 78 specs."""
+    for k in (2, 3):
+        for distances in itertools.product(range(1, 5), repeat=k):
             if sum(distances) > k:
                 yield distances
 
@@ -363,23 +357,17 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every command, or with `command` alone when it names
-    one.  `main` builds it only for an argv that `_plain_args` declines."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser with every command.  `main` builds it only for an
+    argv that `_plain_args` declines: help, errors and other spellings."""
     parser = argparse.ArgumentParser(
         prog="partition-gf",
         description="Exact partition counts with fixed largest-smallest "
         "difference or specified milestone distances, via mutually "
         "verifying enumeration, series, and quasipolynomial routes.",
     )
-    names = [command] if command in COMMANDS else list(COMMANDS)
-    # With one command registered, the metavar keeps every command in the
-    # usage line of its errors.  The full parser keeps the default: a
-    # metavar would change its "required" and "invalid choice" errors.
-    metavar = {"metavar": "{" + ",".join(COMMANDS) + "}"} if len(names) == 1 else {}
-    sub = parser.add_subparsers(dest="command", required=True, **metavar)
-    for name in names:
-        help_text, func, options = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)
@@ -418,7 +406,7 @@ def _plain_args(argv: list[str]) -> argparse.Namespace | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _plain_args(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, PeriodTooLarge) as exc:

@@ -133,10 +133,11 @@ def _closed_core(t: int, k: int) -> FactoredRational:
 
 
 def series(spec, order: int) -> TruncatedSeries:
-    """The generating function for `spec` through q^order: the closed form's
-    expansion where one exists and order >= spec.min_weight, else the direct sum."""
+    """The generating function for `spec` through q^order: the closed form's expansion
+    where one exists and order >= spec.min_weight and C(t+1, 2), else the direct sum,
+    which is cheaper than the closed form's O(t^3) build below C(t+1, 2)."""
     spec = _coerce_spec(spec)
-    if spec.has_closed_form and spec.min_weight <= order:
+    if spec.has_closed_form and order >= max(spec.min_weight, math.comb(spec.total + 1, 2)):
         return closed_form_specified(spec).expand(order)
     return direct_series_specified(spec, order)
 

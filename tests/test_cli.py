@@ -317,6 +317,21 @@ class TestFit:
         assert err == "error: --output needs a file name\n"
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("series", "--distances", "2", "--order", "0"), "error: order must be >= 1, got 0\n"),
+        (
+            ("fit", "--distances", "0"),
+            "error: difference 0 has no quasipolynomial (the counts are divisor counts)\n",
+        ),
+    ],
+    ids=["series-order-0", "fit-distances-0"],
+)
+def test_out_of_range_value_is_usage_error(capsys, argv, err):
+    assert run(capsys, *argv) == (EXIT_USAGE, "", err)
+
+
 class TestPeriodCap:
     """Above period lcm(1..12) every quasipolynomial route refuses before
     expanding anything."""
@@ -480,6 +495,12 @@ class TestOeisCommand:
         assert code == EXIT_VERIFY_FAIL
         assert "FAIL" in out
 
+    def test_malformed_fixture_is_verification_error(self, capsys, tmp_path):
+        (tmp_path / "b000005.txt").write_text("1 1\nx 2\n", encoding="utf-8")
+        code, out, err = run(capsys, "oeis", "--id", "A000005", "--fixtures-dir", str(tmp_path))
+        assert (code, out) == (EXIT_VERIFY_FAIL, "")
+        assert err == "error: A000005 line 2: non-integer field in 'x 2'\n"
+
     def test_verify_reads_the_fixtures_dir(self, capsys, tmp_path):
         code, out, _ = run(capsys, "verify", "--suite", "oeis", "--fixtures-dir", str(tmp_path))
         assert code == EXIT_VERIFY_FAIL
@@ -546,9 +567,8 @@ HELP = {
 USAGE = "usage: partition-gf [-h] {compute,series,verify,fit,oeis} ...\n"
 
 # Frozen top-level (exit code, stdout, stderr) at 80 columns.  None of these
-# argvs is a plain command line, so argparse reads each, with a parser that
-# holds only the command the first argument names: the usage line of an
-# error after a command must still list every command.
+# argvs is a plain command line, so the argparse parser reads each and
+# writes the help or the error.
 TOP_LEVEL = {
     ("-h",): (
         EXIT_OK,
@@ -597,13 +617,6 @@ class TestArgparseBehaviour:
         captured = capsys.readouterr()
         assert (excinfo.value.code, captured.out, captured.err) == TOP_LEVEL[argv]
 
-    def test_a_run_builds_only_its_command(self):
-        def commands(parser):
-            return [a.choices for a in parser._actions if a.dest == "command"][0]
-
-        assert list(commands(build_parser("fit"))) == ["fit"]
-        assert list(commands(build_parser())) == ["compute", "series", "verify", "fit", "oeis"]
-
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.argv", ["partition-gf", "compute", "--n", "11", "--distances", "2,2"])
         assert main() == EXIT_OK
@@ -618,6 +631,16 @@ class TestArgparseBehaviour:
         with pytest.raises(SystemExit) as excinfo:
             main(["compute", "--n", "5", "--distances", "2", "--method", "magic"])
         assert excinfo.value.code == EXIT_USAGE
+
+    def test_bad_int_value_exits_two(self, capsys):
+        # `_plain_args` declines a value its type rejects, for argparse to name.
+        argv = ["compute", "--n", "x", "--distances", "2"]
+        assert _plain_args(argv) is None
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "partition-gf compute: error: argument --n: invalid int value: 'x'"
 
     @pytest.mark.parametrize(
         "argv",
@@ -691,21 +714,26 @@ class TestPlainArgs:
     """`main` reads a plain command line with `_plain_args` and hands every
     other argv to argparse."""
 
-    @settings(max_examples=500, deadline=None)
-    @given(argv=_argvs())
-    def test_a_namespace_it_gives_is_the_one_argparse_gives(self, argv):
-        plain = _plain_args(argv)
-        if plain is None:
-            return
-        try:
-            with contextlib.redirect_stderr(io.StringIO()) as err:
-                parsed = build_parser(argv[0]).parse_args(argv)
-        except SystemExit:
-            pytest.fail(f"argparse rejects {argv!r}: {err.getvalue()}")
-        assert vars(plain) == vars(parsed)
+    def test_a_namespace_it_gives_is_the_one_argparse_gives(self):
+        parser = build_parser()
+
+        @settings(max_examples=500, deadline=None)
+        @given(argv=_argvs())
+        def check(argv):
+            plain = _plain_args(argv)
+            if plain is None:
+                return
+            try:
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    parsed = parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"argparse rejects {argv!r}: {err.getvalue()}")
+            assert vars(plain) == vars(parsed)
+
+        check()
 
     def test_plain_runs_build_no_parser(self, capsys, monkeypatch):
-        def refuse(command=None):
+        def refuse():
             raise AssertionError("built a parser")
 
         monkeypatch.setattr("partition_gf.cli.build_parser", refuse)

@@ -186,6 +186,21 @@ class TestSeriesDispatch:
         monkeypatch.setattr(genfun, "closed_form_specified", refuse)
         assert series((600,), 5).coeffs == (0,) * 6
 
+    def test_no_closed_form_below_its_numerator_degree(self, monkeypatch):
+        # Past min_weight but below C(t+1, 2), the closed form's O(t^3) build
+        # costs more than the direct sum: C(401, 2) = 80200 > 410.
+        def refuse(spec):
+            raise AssertionError("closed form built below C(t+1, 2)")
+
+        monkeypatch.setattr(genfun, "closed_form_specified", refuse)
+        assert list(series((400,), 410).coeffs) == specified_table((400,), 410)
+
+    def test_closed_form_from_its_numerator_degree(self, monkeypatch):
+        real, built = genfun.closed_form_specified, []
+        monkeypatch.setattr(genfun, "closed_form_specified", lambda spec: built.append(spec) or real(spec))
+        assert list(series((5,), 2000).coeffs) == specified_table((5,), 2000)
+        assert built == [DistanceSpec((5,))]
+
 
 class TestDirectSeriesSpecified:
     def test_two_two_prefix(self):

@@ -336,6 +336,18 @@ class TestSerialization:
         again = QuasiPolynomial.from_json_dict(data)
         assert again == qp
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([["0", "1/2"]], "expected 2 rows, got 1"),
+            ([["0", "1/2"], ["1/2"]], "every row needs 2 coefficients, got 1"),
+        ],
+        ids=["too-few-rows", "short-row"],
+    )
+    def test_malformed_document_is_rejected(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            QuasiPolynomial.from_json_dict({"period": 2, "degree": 1, "rows": rows})
+
     def test_reserialization_is_byte_identical(self):
         qp = p22_quasipolynomial()
         text = json.dumps(qp.to_json_dict(), indent=2)
