@@ -7,8 +7,9 @@ coin s and adds coin s+t+1.  The DP and the counts are each one integer, the
 polynomial evaluated at q = 2^w, so a pass over the window is a few big-int
 shifts, masks and adds rather than a loop over coefficients.  The slot width
 `_slot_bits`, the packed geometric division `_packed_divide` and `_unpack`
-are shared with the direct series sum, which the table is checked against:
-for t > k the closed form is a third route that shares none of them.
+are shared with the direct series sum, which the table is checked against.
+genfun's closed form (t > k) and partial-fraction form share none of them;
+at t = k the latter adds this module's divisor sieve, `fixed_diff_table(0, n)`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from itertools import repeat
 from typing import Sequence
 
 from .errors import InvalidDistance
@@ -104,11 +106,12 @@ def fixed_diff_table(t: int, n_max: int) -> list[int]:
         return specified_table((t,), n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    # all parts equal some divisor of n: sieve over part values
+    # All parts equal one divisor of n.  Divisors pair up as d < n/d, so each
+    # d <= sqrt(n_max) counts once at d*d and twice at every n = d*e with e > d.
     counts = [0] * (n_max + 1)
-    for part in range(1, n_max + 1):
-        for n in range(part, n_max + 1, part):
-            counts[n] += 1
+    for d in range(1, math.isqrt(n_max) + 1):
+        counts[d * d] += 1
+        counts[d * (d + 1) :: d] = map(operator.add, counts[d * (d + 1) :: d], repeat(2))
     return counts
 
 

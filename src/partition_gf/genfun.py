@@ -1,19 +1,20 @@
 """Generating functions for partitions with specified milestone distances
 (t1..tk); a fixed largest-smallest difference t is the one-distance case (t,).
 
-Every generating function is available by two routes that must agree:
+Every generating function is available by routes that must agree:
 
 * a direct sum over the smallest part m, nested from the last summand that
   reaches the order down to m = 1 in one packed integer, a few big-int shifts
-  a level (summand m+1 is summand m times q^{k+1}(1-q^m)/(1-q^{m+t+1})), and
+  a level (summand m+1 is summand m times q^{k+1}(1-q^m)/(1-q^{m+t+1})),
+* a partial-fraction form, plus the divisor series at t = k, by list passes, and
 * a closed rational form with a (1-q^m)-product denominator.
 
 The closed form exists when the total distance t exceeds k (t > 1 for a
-fixed difference); below that the series is not rational and only the
-direct route applies.  It is P_spec = q^{W - C(k+1,2)} R_{t,k}, W the
-weighted total, and each R_{t,k} is built once per process.  `series` picks
-the route.  `closed_form_fixed_diff` is the paper's displayed form for one
-distance, kept as an independent check on `closed_form_specified`.
+fixed difference); at t = k the series is not rational.  It is
+P_spec = q^{W - C(k+1,2)} R_{t,k}, W the weighted total, and each R_{t,k} is
+built once per process.  `series` picks the route.  `closed_form_fixed_diff`
+is the paper's displayed form for one distance, kept as an independent check
+on `closed_form_specified`.
 
 The module also verifies, at truncated-series level, the two classical
 identities the closed forms rest on: Heine's transformation of basic
@@ -132,13 +133,50 @@ def _closed_core(t: int, k: int) -> FactoredRational:
     return FactoredRational(numerator, denominator).reduce()
 
 
-def series(spec, order: int) -> TruncatedSeries:
-    """The generating function for `spec` through q^order: the closed form's expansion
-    where one exists and order >= spec.min_weight and C(t+1, 2), else the direct sum,
-    which is cheaper than the closed form's O(t^3) build below C(t+1, 2)."""
+def partial_fraction_series(spec, order: int) -> TruncatedSeries:
+    """The generating function for `spec` through q^order, W the weighted total, from
+
+        P_spec = [t = k] (-1)^k sum_{n>=1} d(n) q^n - q^W / (q)_t sum_{m=1}^{t} q^m S_m / (1-q^m),
+        S_m = sum_{j=m}^{t} (-1)^j q^{C(j,2) - kj} [t,j]:
+
+    the direct sum's summand in a = q^s, q^W a^{k+1} / prod_{j=0}^{t} (1-q^j a), in partial
+    fractions in a, summed over s >= 1; its polynomial part is a constant only at t = k.
+    W + C(j,2) - kj >= W - C(k+1,2) >= 0.  The suffix sums q^W S_m step the rows [t,j] down
+    from [t,t] = 1; q^m q^W S_m / (1-q^m) is one pass over that polynomial, then repeats
+    with period m; (q)_t takes t passes.  No packed kernel of `counting` is used."""
     spec = _coerce_spec(spec)
-    if spec.has_closed_form and order >= max(spec.min_weight, math.comb(spec.total + 1, 2)):
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    t, k, lead = spec.total, spec.k, spec.weighted_total
+    suffix, total, row = [], [0] * (order + 1), [1]  # q^W S_{j+1}, the sum, [t,t]
+    for j in range(t, 0, -1):
+        if j < t:
+            row = _times_ratio(row, j + 1, t - j)  # [t,j] = [t,j+1] (1-q^{j+1}) / (1-q^{t-j})
+        start = lead + math.comb(j, 2) - k * j
+        end = min(start + len(row), order + 1)
+        suffix += [0] * (end - len(suffix))
+        suffix[start:end] = map(operator.sub if j % 2 else operator.add, suffix[start:end], row)
+        piece = ([0] * j + suffix)[: order + 1]
+        _divide_by_one_minus_q_power(piece, j)
+        piece += piece[-j:] * ((order + 1 - len(piece)) // j + 1)  # period j past the polynomial
+        total = list(map(operator.add, total, piece))
+    for m in range(1, t + 1):
+        _divide_by_one_minus_q_power(total, m)
+    if t > k:
+        return TruncatedSeries(map(operator.neg, total))
+    return TruncatedSeries((-1) ** k * d - c for d, c in zip(fixed_diff_table(0, order), total))
+
+
+def series(spec, order: int) -> TruncatedSeries:
+    """The generating function for `spec` through q^order.  From order >= spec.min_weight,
+    the closed form where one exists from order C(t+1, 2), and at t = k the partial-fraction
+    form from order 100 t; below those the direct sum costs less.  Else the direct sum."""
+    spec = _coerce_spec(spec)
+    t, first = spec.total, spec.min_weight
+    if spec.has_closed_form and order >= max(first, math.comb(t + 1, 2)):
         return closed_form_specified(spec).expand(order)
+    if not spec.has_closed_form and order >= max(first, 100 * t):
+        return partial_fraction_series(spec, order)
     return direct_series_specified(spec, order)
 
 

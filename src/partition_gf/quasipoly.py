@@ -121,7 +121,10 @@ class QuasiPolynomial:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> QuasiPolynomial:
-        rows = [[Fraction(entry) for entry in row] for row in data["rows"]]
+        try:
+            rows = [[Fraction(entry) for entry in row] for row in data["rows"]]
+        except ZeroDivisionError as exc:
+            raise ValueError("a coefficient has denominator 0") from exc
         d = math.lcm(*(c.denominator for c in chain.from_iterable(rows)))
         rows = tuple(tuple(c.numerator * d // c.denominator for c in row) for row in rows)
         return cls(int(data["period"]), int(data["degree"]), rows, d)

@@ -70,10 +70,13 @@ class TestCountFixedDiff:
         assert [count_specified(n, (t,)) for n in range(1, len(values) + 1)] == values
 
     def test_difference_zero_counts_divisors(self):
-        table = fixed_diff_table(0, 200)
-        assert table[6] == 4
-        for n in range(1, 201):
-            assert table[n] == divisor_count(n)
+        # The sieve counts each d <= sqrt(n_max) once at d*d and twice along
+        # d(d+1), d(d+2), ...: short tables check where those passes stop.
+        divisors = [0] + [divisor_count(n) for n in range(1, 3001)]
+        assert divisors[6] == 4
+        assert fixed_diff_table(0, 3000) == divisors
+        for n_max in (0, 1, 2, 3, 4, 5, 6, 8, 9, 11, 12):
+            assert fixed_diff_table(0, n_max) == divisors[: n_max + 1]
 
     def test_difference_one_counts_nondivisors(self):
         table = fixed_diff_table(1, 200)
@@ -196,10 +199,11 @@ class TestPackedSlots:
         assert list(direct_series_specified((2, 2), 2000).coeffs) != _list_nest((2, 2), 2000)
 
     def test_narrowed_direct_sum_fails_the_cli_route_check(self, capsys, monkeypatch):
-        # 1,1 has no closed form, so `compute --method series` reads the direct sum.
+        # `verify --suite routes` reads the direct sum beside the table and the
+        # closed form for every spec; genfun's width narrows only the direct sum.
         monkeypatch.setattr(genfun, "_slot_bits", lambda n_max, t: 8)
-        assert main(["compute", "--n", "2000", "--distances", "1,1", "--method", "all"]) == 1
-        assert "METHOD DISAGREEMENT" in capsys.readouterr().err
+        assert main(["verify", "--suite", "routes"]) == 1
+        assert "FAIL routes/specified/(2,2)" in capsys.readouterr().out
 
     def test_point_count_width_is_what_keeps_it_exact(self, capsys, monkeypatch):
         monkeypatch.setattr(counting, "_slot_bits", lambda n_max, t: 8)

@@ -3,6 +3,7 @@ behind them."""
 
 import functools
 import hashlib
+import inspect
 import itertools
 import math
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from partition_gf import cli, genfun
+from partition_gf import cli, counting, genfun
 from partition_gf.counting import divisor_count, fixed_diff_table, specified_table
 from partition_gf.errors import (
     InvalidDistance,
@@ -24,6 +25,7 @@ from partition_gf.genfun import (
     direct_series_specified,
     heine_check,
     p1_identity_check,
+    partial_fraction_series,
     qbinomial_alternating_sum,
     series,
 )
@@ -200,6 +202,86 @@ class TestSeriesDispatch:
         monkeypatch.setattr(genfun, "closed_form_specified", lambda spec: built.append(spec) or real(spec))
         assert list(series((5,), 2000).coeffs) == specified_table((5,), 2000)
         assert built == [DistanceSpec((5,))]
+
+
+ROUTE_CHECK_SPECS = [*cli._specified_grid(), *((t,) for t in range(2, 13))]
+
+
+def _refuse(name):
+    def refuse(*args):
+        raise AssertionError(f"{name} called")
+
+    return refuse
+
+
+def _mutate_partial_fraction_series(monkeypatch, old, new):
+    """Replace genfun.partial_fraction_series by its source with `old` replaced once by `new`."""
+    source = inspect.getsource(genfun.partial_fraction_series)
+    assert source.count(old) == 1
+    namespace = dict(vars(genfun))
+    exec(compile(source.replace(old, new), genfun.__file__, "exec"), namespace)
+    monkeypatch.setattr(genfun, "partial_fraction_series", namespace["partial_fraction_series"])
+
+
+class TestPartialFractionSeries:
+    def test_matches_the_closed_form_on_the_route_check_specs(self):
+        assert len(ROUTE_CHECK_SPECS) == 89
+        for distances in ROUTE_CHECK_SPECS:
+            expected = closed_form_specified(distances).expand(200)
+            assert partial_fraction_series(distances, 200) == expected, distances
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_all_ones_with_the_divisor_term_match_the_table(self, k):
+        table = specified_table((1,) * k, 400)
+        assert list(partial_fraction_series((1,) * k, 400).coeffs) == table
+        # Below, at and just past the first count.
+        for order in range(DistanceSpec((1,) * k).min_weight + k + 2):
+            assert list(partial_fraction_series((1,) * k, order).coeffs) == table[: order + 1]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_all_ones_series_uses_no_packed_kernel(self, k, monkeypatch):
+        table = specified_table((1,) * k, 2000)
+        for name in ("direct_series_specified", "_packed_divide", "_slot_bits", "_unpack"):
+            for module in (genfun, counting):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, _refuse(name))
+        assert list(series((1,) * k, 2000).coeffs) == table
+
+    # t = k reads the partial-fraction form from order 100 t: (1, 1) from 200.
+    @pytest.mark.parametrize(
+        "order, route", [(199, "direct_series_specified"), (200, "partial_fraction_series")]
+    )
+    def test_all_ones_route_turns_at_one_hundred_t(self, order, route, monkeypatch):
+        called = []
+
+        def spy(name):
+            real = getattr(genfun, name)
+            return lambda *args: called.append(name) or real(*args)
+
+        for name in ("direct_series_specified", "partial_fraction_series"):
+            monkeypatch.setattr(genfun, name, spy(name))
+        assert list(series((1, 1), order).coeffs) == specified_table((1, 1), order)
+        assert called == [route]
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (
+                "operator.sub if j % 2 else operator.add",
+                "operator.sub if (j % 2) != (j == 2) else operator.add",
+            ),
+            ("(-1) ** k * d - c", "(-1) ** (k + 1) * d - c"),
+        ],
+        ids=["j=2-term-sign", "divisor-term-sign"],
+    )
+    def test_a_flipped_sign_fails_the_cli_route_check(self, old, new, capsys, monkeypatch):
+        _mutate_partial_fraction_series(monkeypatch, old, new)
+        assert cli.main(["compute", "--n", "2000", "--distances", "1,1,1", "--method", "all"]) == 1
+        assert "METHOD DISAGREEMENT" in capsys.readouterr().err
+
+    def test_rejects_a_negative_order(self):
+        with pytest.raises(ValueError, match="order must be >= 0, got -1"):
+            partial_fraction_series((1, 1), -1)
 
 
 class TestDirectSeriesSpecified:
@@ -410,7 +492,7 @@ def test_two_phi_one_matches_full_length_terms(a, b, c, z, order):
     assert genfun._two_phi_one(a, b, c, z, order) == two_phi_one_full_length(a, b, c, z, order)
 
 
-@pytest.mark.parametrize("spec", [*cli._specified_grid(), *((t,) for t in range(2, 13))], ids=str)
+@pytest.mark.parametrize("spec", ROUTE_CHECK_SPECS, ids=str)
 def test_closed_form_matches_one_spec_build(spec):
     assert closed_form_specified(spec) == closed_form_specified_one_spec(spec)
 
@@ -425,10 +507,7 @@ STRUCTURE_GOLDEN = {
 }
 
 STRUCTURES = {
-    "specified": lambda: [
-        closed_form_specified(spec)
-        for spec in [*cli._specified_grid(), *((t,) for t in range(2, 13))]
-    ],
+    "specified": lambda: [closed_form_specified(spec) for spec in ROUTE_CHECK_SPECS],
     "fixed-diff": lambda: [closed_form_fixed_diff(t) for t in range(2, 13)],
     "gauss": lambda: [gauss_binomial(a, b) for a in range(17) for b in range(a + 1)],
 }

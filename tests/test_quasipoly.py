@@ -341,8 +341,10 @@ class TestSerialization:
         [
             ([["0", "1/2"]], "expected 2 rows, got 1"),
             ([["0", "1/2"], ["1/2"]], "every row needs 2 coefficients, got 1"),
+            ([["0", "1/2"], ["1/0", "1"]], "a coefficient has denominator 0"),
+            ([["0", "half"], ["0", "1"]], "Invalid literal for Fraction: 'half'"),
         ],
-        ids=["too-few-rows", "short-row"],
+        ids=["too-few-rows", "short-row", "zero-denominator", "not-a-number"],
     )
     def test_malformed_document_is_rejected(self, rows, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
