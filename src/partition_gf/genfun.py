@@ -204,17 +204,13 @@ def _alternating_sum(t: int, js: range) -> list[int]:
 
 
 def p1_identity_check(order: int) -> bool:
-    """Check the three routes to the difference-1 series through q^order:
-    the sum over the smallest part, q/(1-q)^2 minus the divisor-generating
-    sum, and the nondivisor counts n - d(n) themselves."""
+    """Check three routes to the difference-1 series q/(1-q)^2 - sum_n d(n) q^n through
+    q^order: the packed nest over the smallest part, list passes plus the divisor sieve
+    (the partial-fraction form at k = 1), and n - d(n) by trial division."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    summed = direct_series_specified((1,), order)
-    rational = FactoredRational((0, 1), [(1, 2)]).expand(order).coeffs
-    # fixed_diff_table(0, n) sieves the divisor counts: sum_m q^m/(1-q^m)
-    subtracted = TruncatedSeries([r - d for r, d in zip(rational, fixed_diff_table(0, order))])
     counted = TruncatedSeries([0] + [n - divisor_count(n) for n in range(1, order + 1)])
-    return summed == subtracted == counted
+    return direct_series_specified((1,), order) == partial_fraction_series((1,), order) == counted
 
 
 def heine_check(a_exp: int, b_exp: int, c_exp: int, z_exp: int, order: int) -> bool:

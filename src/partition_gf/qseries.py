@@ -28,6 +28,7 @@ All values are immutable and all public functions are pure.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
 from .errors import InternalError, InvalidExponent, OrderTooLarge
@@ -42,12 +43,13 @@ def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
 
 
 class TruncatedSeries:
-    """A power series known exactly through q^order."""
+    """A power series known exactly through q^order.  The coefficients are stored as
+    given, with no conversion: every producer builds them as ints."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        self.coeffs: tuple[int, ...] = tuple(map(int, coeffs))
+        self.coeffs: tuple[int, ...] = tuple(coeffs)
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
 
@@ -146,7 +148,7 @@ def gauss_binomial(top: int, bottom: int) -> tuple[int, ...]:
 def _normalize_denominator(denominator) -> tuple[tuple[int, int], ...]:
     merged: dict[int, int] = {}
     for m, e in denominator:
-        m, e = int(m), int(e)
+        m, e = operator.index(m), operator.index(e)  # 2.5 raises, not truncated to 2
         if m < 1:
             raise InvalidExponent(f"denominator exponent must be >= 1, got {m}")
         if e < 1:

@@ -123,11 +123,13 @@ class QuasiPolynomial:
     def from_json_dict(cls, data: dict) -> QuasiPolynomial:
         try:
             rows = [[Fraction(entry) for entry in row] for row in data["rows"]]
+            d = math.lcm(*(c.denominator for c in chain.from_iterable(rows)))
+            rows = tuple(tuple(c.numerator * d // c.denominator for c in row) for row in rows)
+            return cls(int(data["period"]), int(data["degree"]), rows, d)
+        except (KeyError, TypeError) as exc:  # a missing key, a non-list, a None entry
+            raise ValueError(f"malformed document: {exc!r}") from exc
         except ZeroDivisionError as exc:
             raise ValueError("a coefficient has denominator 0") from exc
-        d = math.lcm(*(c.denominator for c in chain.from_iterable(rows)))
-        rows = tuple(tuple(c.numerator * d // c.denominator for c in row) for row in rows)
-        return cls(int(data["period"]), int(data["degree"]), rows, d)
 
 
 def fit(values: Sequence[int], degree: int, period: int) -> QuasiPolynomial:

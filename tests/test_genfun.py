@@ -410,6 +410,13 @@ class TestP1Identity:
         with pytest.raises(ValueError):
             p1_identity_check(0)
 
+    # p1's middle route is the all-ones partial-fraction form at k = 1, the
+    # route `series` reads from order 100 t.
+    def test_a_flipped_divisor_term_fails_the_identities_suite(self, capsys, monkeypatch):
+        _mutate_partial_fraction_series(monkeypatch, "(-1) ** k * d - c", "(-1) ** (k + 1) * d - c")
+        assert cli.main(["verify", "--suite", "identities", "--t-max", "2", "--order", "60"]) == 1
+        assert "FAIL identities/p1/order=60" in capsys.readouterr().out.splitlines()
+
 
 class TestHeine:
     def test_proof_specialization_single_difference(self):

@@ -102,6 +102,10 @@ class TestTruncatedSeries:
         assert a != b
         assert a.coeffs == b.coeffs[: a.order + 1]
 
+    def test_rejects_an_empty_coefficient_list(self):
+        with pytest.raises(ValueError, match="^a series needs at least the constant coefficient$"):
+            TruncatedSeries([])
+
     def test_getitem_beyond_order_raises(self):
         s = TruncatedSeries([1, 2])
         assert s[1] == 2
@@ -206,6 +210,10 @@ class TestGaussBinomial:
 
     def test_four_choose_two(self):
         assert gauss_binomial(4, 2) == P(1, 1, 2, 1, 1)
+
+    def test_rejects_a_negative_top(self):
+        with pytest.raises(ValueError, match="^top index must be >= 0, got -1$"):
+            gauss_binomial(-1, 0)
 
     def test_out_of_range_is_zero(self):
         assert gauss_binomial(5, 7) == ()
@@ -329,3 +337,17 @@ class TestFactoredRational:
     def test_invalid_denominator(self):
         with pytest.raises(InvalidExponent):
             FactoredRational(P(1), [(0, 1)])
+
+    # A non-integer exponent or multiplicity is refused, never truncated.
+    @pytest.mark.parametrize(
+        "denominator, error, message",
+        [
+            ([(2.5, 1)], TypeError, "'float' object cannot be interpreted as an integer"),
+            ([(2, 1.9)], TypeError, "'float' object cannot be interpreted as an integer"),
+            ([(2, 0)], ValueError, "denominator multiplicity must be >= 1, got 0"),
+        ],
+        ids=["float-exponent", "float-multiplicity", "zero-multiplicity"],
+    )
+    def test_rejects_a_bad_denominator_factor(self, denominator, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            FactoredRational((1,), denominator)

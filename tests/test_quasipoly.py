@@ -54,6 +54,21 @@ class TestEvaluate:
             p3_quasipolynomial().evaluate(0)
 
 
+class TestConstructor:
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 1, (), 1), "period must be >= 1, got 0"),
+            ((1, -1, ((),), 1), "degree must be >= 0, got -1"),
+            ((1, 0, ((1,),), 0), "denominator must be >= 1, got 0"),
+        ],
+        ids=["zero-period", "negative-degree", "zero-denominator"],
+    )
+    def test_rejects_a_bad_shape(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            QuasiPolynomial(*args)
+
+
 class TestLeadingCoefficient:
     def test_difference_three(self):
         assert p3_quasipolynomial().leading_coefficient() == Fraction(1, 108)
@@ -136,6 +151,15 @@ class TestFit:
         with pytest.raises(InconsistentSamples) as info:
             fit(values, degree=3, period=6)
         assert str(info.value) == f"degree 3, period 6 cannot hold: {message}"
+
+    @pytest.mark.parametrize(
+        "degree, period, message",
+        [(-1, 2, "degree must be >= 0, got -1"), (1, 0, "period must be >= 1, got 0")],
+        ids=["negative-degree", "zero-period"],
+    )
+    def test_rejects_a_bad_degree_or_period(self, degree, period, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit(fixed_diff_table(2, 20), degree, period)
 
     def test_insufficient_samples_names_class_zero(self):
         # n = 1..22: classes 1..4 have four samples, class 0 (6, 12, 18) three
@@ -336,19 +360,45 @@ class TestSerialization:
         again = QuasiPolynomial.from_json_dict(data)
         assert again == qp
 
+    # Each message is a regular expression.
     @pytest.mark.parametrize(
-        "rows, message",
+        "document, message",
         [
-            ([["0", "1/2"]], "expected 2 rows, got 1"),
-            ([["0", "1/2"], ["1/2"]], "every row needs 2 coefficients, got 1"),
-            ([["0", "1/2"], ["1/0", "1"]], "a coefficient has denominator 0"),
-            ([["0", "half"], ["0", "1"]], "Invalid literal for Fraction: 'half'"),
+            ({"period": 2, "degree": 1, "rows": [["0", "1/2"]]}, "expected 2 rows, got 1"),
+            (
+                {"period": 2, "degree": 1, "rows": [["0", "1/2"], ["1/2"]]},
+                "every row needs 2 coefficients, got 1",
+            ),
+            (
+                {"period": 2, "degree": 1, "rows": [["0", "1/2"], ["1/0", "1"]]},
+                "a coefficient has denominator 0",
+            ),
+            (
+                {"period": 2, "degree": 1, "rows": [["0", "half"], ["0", "1"]]},
+                "Invalid literal for Fraction: 'half'",
+            ),
+            ({"period": 2, "degree": 1}, r"malformed document: KeyError\('rows'\)"),
+            (
+                {"degree": 1, "rows": [["0", "1/2"], ["0", "1"]]},
+                r"malformed document: KeyError\('period'\)",
+            ),
+            (
+                {"period": 2, "degree": 1, "rows": 5},
+                r"malformed document: TypeError\(\"'int' object is not iterable\"\)",
+            ),
+            (
+                {"period": 2, "degree": 1, "rows": [["0", None], ["0", "1"]]},
+                r"malformed document: TypeError\(.+\)",
+            ),
         ],
-        ids=["too-few-rows", "short-row", "zero-denominator", "not-a-number"],
+        ids=[
+            "too-few-rows", "short-row", "zero-denominator", "not-a-number",
+            "no-rows", "no-period", "rows-not-a-list", "none-entry",
+        ],
     )
-    def test_malformed_document_is_rejected(self, rows, message):
+    def test_malformed_document_is_rejected(self, document, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
-            QuasiPolynomial.from_json_dict({"period": 2, "degree": 1, "rows": rows})
+            QuasiPolynomial.from_json_dict(document)
 
     def test_reserialization_is_byte_identical(self):
         qp = p22_quasipolynomial()
@@ -431,6 +481,9 @@ CLI_GOLDEN = {
     # captured before both sides of Heine's transformation were summed by one 2phi1
     ("verify", "--suite", "identities", "--t-max", "8", "--order", "200"):
         "9951a80d98eba00315f2000ff4e7545ba510d290d25c383f681ad89e0725f131",
+    # captured before p1's middle route became the partial-fraction form
+    ("verify", "--suite", "identities", "--t-max", "12", "--order", "400"):
+        "f0a14a4676821ed0ee12d6a045a8a3e314d4b623ec17d9e38441719b7d8b37fb",
     ("verify", "--suite", "all"):
         "c5858f3e208f72e480327c4e173d2651b16ba9f30245a57ac394997b09cb6c97",
     # captured before SequenceFixture became a NamedTuple and b-files one writer
