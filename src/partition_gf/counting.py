@@ -10,6 +10,10 @@ shifts, masks and adds rather than a loop over coefficients.  The slot width
 are shared with the direct series sum, which the table is checked against.
 genfun's closed form (t > k) and partial-fraction form share none of them;
 at t = k the latter adds this module's divisor sieve, `fixed_diff_table(0, n)`.
+
+A point count reads the windows' top slots for s up to a cut near cbrt(n t)
+and, above it, one packed Gaussian row [r+t, t] per number r of free parts
+(Andrews, The Theory of Partitions, Thm 3.1).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Sequence
 
 from .errors import InvalidDistance
@@ -184,6 +188,9 @@ def _slot_bits(n_max: int, t: int) -> int:
        fixed by the others, and their unit cubes are disjoint, inside it (Nathanson 2000).
     3. The doubling's partial products, a window after dropping coin s and the partial
        sums of the counts are >= 0 and at most a final count, <= n_max+1 window entries.
+    4. count_specified reads a Gaussian row [r+t, t] only if (cut+1)(k+1+r) <= n_max with
+       cut >= t, so rt < n_max: coefficient j counts partitions of j < n_max into parts <= t,
+       at most p_{<=m}(j) (m > min(t, j)); its passes are exact mod 2^((rt+1)w).
     It sizes genfun's direct sum too: exact mod 2^(size*w), only its final counts must fit."""
     m = min(t, n_max) + 1  # no part exceeds n_max
     numerator = (n_max + m * (m + 1) // 2 - 1) ** (m - 1)
@@ -193,9 +200,39 @@ def _slot_bits(n_max: int, t: int) -> int:
 
 
 def count_specified(n: int, spec) -> int:
-    """# partitions of n realizing the milestone distances: each window's top slot, summed."""
+    """# partitions of n realizing the milestone distances, split at a smallest part near
+    cbrt(n t), where the windows' work (n slots each) meets the rows' ((n/cut)^2 t slots)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     spec = _coerce_spec(spec)
-    w = _slot_bits(n, spec.total)
-    return sum(ways >> (n - base) * w for base, ways in _windows(spec, n, w))
+    t = spec.total
+    return _count(n, spec, max(t, 1 << (n * t).bit_length() // 3))
+
+
+def _count(n: int, spec: DistanceSpec, cut: int) -> int:
+    """count_specified summed over the smallest part s: the top slot of each window for s <= cut,
+    and for s > cut by the number r of free parts.  They are s+i over a partition of the offsets i
+    into at most r parts <= t, so [q^M] [r+t, t] (_gauss_rows) counts them at M = N - (k+1+r)s,
+    N = n - weighted_total; for each r, 0 <= M <= rt holds for at most t+1 values of s.  cut >= t
+    keeps rt < n, inside the windows' slot width (_slot_bits, step 4)."""
+    t, k, N = spec.total, spec.k, n - spec.weighted_total
+    w = _slot_bits(n, t)
+    count = sum(ways >> (n - base) * w for base, ways in islice(_windows(spec, n, w), cut))
+    top = (1 << w) - 1
+    # Row r is read while some s > cut has (k+1+r)s <= N, which keeps rt < n.
+    for r, row in zip(range(N // (cut + 1) - k), _gauss_rows(t, w)):
+        d = k + 1 + r
+        count += sum((row >> m * w) & top for m in range(N % d, min(r * t + 1, N - d * cut), d))
+    return count
+
+
+def _gauss_rows(t: int, w: int):
+    """[r+t, t] for r = 0, 1, 2, ..., each packed in rt+1 slots of w bits: row r is row r-1 times
+    (1-q^(r+t)) by a masked shifted subtract, then divided by (1-q^r); the last mask drops what
+    _packed_divide carries past the row, which the next row's wider mask would read."""
+    row, r = 1, 0
+    while True:
+        yield row
+        r += 1
+        mask = (1 << (r * t + 1) * w) - 1
+        row = _packed_divide(row - ((row << (r + t) * w) & mask), (r,), mask, w) & mask

@@ -6,9 +6,11 @@ import random
 
 import pytest
 
-from partition_gf import counting, genfun
-from partition_gf.cli import main
+from partition_gf import counting, genfun, qseries
+from partition_gf.cli import _specified_grid, main
 from partition_gf.counting import (
+    _count,
+    _gauss_rows,
     _slot_bits,
     _unpack,
     count_specified,
@@ -18,7 +20,11 @@ from partition_gf.counting import (
 )
 from partition_gf.errors import InvalidDistance
 from partition_gf.genfun import DistanceSpec, direct_series_specified
-from partition_gf.qseries import _divide_by_one_minus_q_power, _multiply_by_one_minus_q_power
+from partition_gf.qseries import (
+    _divide_by_one_minus_q_power,
+    _multiply_by_one_minus_q_power,
+    gauss_binomial,
+)
 from reference import iter_specified, multiset_sums, total_partition_count
 
 # Frozen from an independent raw enumeration of all partitions (filtering by
@@ -210,6 +216,14 @@ class TestPackedSlots:
         assert count_specified(2000, (5,)) != _list_nest((5,), 2000)[2000]
         assert main(["compute", "--n", "2000", "--distances", "5", "--method", "all"]) == 1
         assert "METHOD DISAGREEMENT" in capsys.readouterr().err
+        # With no windows, _count is its Gaussian half: s > 5 at (5,) and n = 600,
+        # where rows up to r = 97 hold coefficients far past 8 bits.
+        monkeypatch.undo()
+        monkeypatch.setattr(counting, "_windows", lambda spec, n_max, w: iter(()))
+        reference = _gauss_half(600, (5,), 5)
+        assert reference > 0 and _count(600, DistanceSpec((5,)), 5) == reference
+        monkeypatch.setattr(counting, "_slot_bits", lambda n_max, t: 8)
+        assert _count(600, DistanceSpec((5,)), 5) != reference
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_simplex_bounds_partitions_into_parts_at_most_m(self, m):
@@ -227,6 +241,85 @@ class TestPackedSlots:
         for n, p in enumerate(totals):
             bits = _slot_bits(n, max(n - 1, 0))
             assert bits % 8 == 0 and bits >= p.bit_length(), n
+
+
+@functools.cache
+def _gauss_row(r, t):
+    return gauss_binomial(r + t, t)
+
+
+def _gauss_half(n, spec, cut):
+    """count_specified's part with smallest part s > cut, by the free-part count r, from
+    list-built Gaussian rows."""
+    spec = DistanceSpec(spec)
+    t, step, rest = spec.total, spec.k + 1, n - spec.weighted_total
+    total = 0
+    for s in range(cut + 1, rest // step + 1):
+        for r in range((rest - step * s) // s + 1):
+            row = _gauss_row(r, t)
+            m = rest - (step + r) * s
+            total += row[m] if m < len(row) else 0
+    return total
+
+
+# Specs whose windows and Gaussian rows meet at every cut; the grid specs at
+# fewer n, to keep the sweep near a second.
+CUT_SPECS = [*((t,) for t in range(1, 7)), *((1,) * k for k in range(2, 8))]
+
+
+class TestSplitCount:
+    """count_specified reads the windows below a cut and the Gaussian rows above it."""
+
+    def _check_every_cut(self, spec, stride):
+        # From cut = t to one past the last window (an empty Gaussian half), at
+        # n below the first count, at it and on to 150.
+        spec = DistanceSpec(spec)
+        table, first = specified_table(spec, 150), spec.min_weight
+        for n in sorted({1, max(first - 1, 1), first, *range(first + 1, 150, stride), 150}):
+            last = (n - spec.weighted_total) // (spec.k + 1)
+            for cut in range(spec.total, max(spec.total, last + 1) + 1):
+                assert _count(n, spec, cut) == table[n], (n, cut)
+
+    @pytest.mark.parametrize("spec", CUT_SPECS, ids=str)
+    def test_every_cut_matches_the_table(self, spec):
+        self._check_every_cut(spec, 3)
+
+    def test_every_cut_on_the_grid_specs(self):
+        for spec in _specified_grid():
+            self._check_every_cut(spec, 13)
+
+    @pytest.mark.parametrize(
+        "spec, n", [((1,), 150), ((3,), 150), ((2, 2), 200), ((1, 2, 3), 300)], ids=str
+    )
+    def test_gaussian_half_at_every_cut(self, spec, n, monkeypatch):
+        monkeypatch.setattr(counting, "_windows", lambda spec, n_max, w: iter(()))
+        spec = DistanceSpec(spec)
+        for cut in range(spec.total, n // (spec.k + 1) + 1):
+            assert _count(n, spec, cut) == _gauss_half(n, spec.distances, cut), cut
+
+    @pytest.mark.parametrize("t", range(1, 9))
+    def test_rows_are_the_gaussian_binomials(self, t):
+        # At the width of a count that reaches r = 40, where rt < n.
+        w = _slot_bits(40 * t + 1, t)
+        for r, row in zip(range(41), _gauss_rows(t, w)):
+            assert row >> (r * t + 1) * w == 0, r
+            assert _unpack(row, r * t + 1, w) == list(gauss_binomial(r + t, t)), r
+
+    def test_reads_no_series_route(self, monkeypatch):
+        cases = [((1,), 1766), ((5,), 2000), ((2, 2), 1500), ((1, 1, 1), 900)]
+        expected = [specified_table(spec, n)[n] for spec, n in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("count_specified called into a series route")
+
+        for module in (genfun, qseries):
+            for name, value in vars(module).items():
+                if callable(value) and getattr(value, "__module__", None) == module.__name__:
+                    monkeypatch.setattr(module, name, refuse)
+        assert [count_specified(n, spec) for spec, n in cases] == expected
+        borrowed = {getattr(value, "__module__", None) for value in vars(counting).values()}
+        assert not borrowed & {genfun.__name__, qseries.__name__}
+        assert genfun not in vars(counting).values() and qseries not in vars(counting).values()
 
 
 class TestCountSpecified:
