@@ -27,8 +27,8 @@ from .genfun import (
     DistanceSpec,
     closed_form_fixed_diff,
     closed_form_specified,
+    core_identity_check,
     direct_series_specified,
-    heine_check,
     p1_identity_check,
     qbinomial_alternating_sum,
 )
@@ -57,8 +57,8 @@ __all__ = [
     "DistanceSpec",
     "closed_form_fixed_diff",
     "closed_form_specified",
+    "core_identity_check",
     "direct_series_specified",
-    "heine_check",
     "p1_identity_check",
     "qbinomial_alternating_sum",
     "FactoredRational",

@@ -212,8 +212,7 @@ def _check_identities(t_max: int, order: int) -> list[tuple[str, bool, str]]:
         results.append((f"identities/q-binomial/t={t}", ok, ""))
     for t in range(2, t_max + 1):
         for k in range(1, t):
-            ok = genfun.heine_check(1, 1, t + 2, k + 1, order)
-            results.append((f"identities/heine/k={k},t={t}", ok, ""))
+            results.append((f"identities/core/k={k},t={t}", genfun.core_identity_check(t, k), ""))
     results.append((f"identities/p1/order={order}", genfun.p1_identity_check(order), ""))
     return results
 

@@ -217,7 +217,8 @@ def _count(n: int, spec: DistanceSpec, cut: int) -> int:
     keeps rt < n, inside the windows' slot width (_slot_bits, step 4)."""
     t, k, N = spec.total, spec.k, n - spec.weighted_total
     w = _slot_bits(n, t)
-    count = sum(ways >> (n - base) * w for base, ways in islice(_windows(spec, n, w), cut))
+    # No window has base > n, and islice's stop must fit a C ssize_t (t may reach 2^63).
+    count = sum(ways >> (n - base) * w for base, ways in islice(_windows(spec, n, w), min(cut, n)))
     top = (1 << w) - 1
     # Row r is read while some s > cut has (k+1+r)s <= N, which keeps rt < n.
     for r, row in zip(range(N // (cut + 1) - k), _gauss_rows(t, w)):

@@ -16,10 +16,8 @@ built once per process.  `series` picks the route.  `closed_form_fixed_diff`
 is the paper's displayed form for one distance, kept as an independent check
 on `closed_form_specified`.
 
-The module also verifies, at truncated-series level, the two classical
-identities the closed forms rest on: Heine's transformation of basic
-hypergeometric series, specialized to integer powers of q, and the finite
-q-binomial theorem.
+The module also checks the finite q-binomial theorem, and proves each core
+R_{t,k} equal to the partial-fraction form's rational part.
 """
 
 from __future__ import annotations
@@ -30,12 +28,11 @@ import operator
 
 from .counting import DistanceSpec  # re-exported
 from .counting import _coerce_spec, _packed_divide, _slot_bits, _unpack, divisor_count, fixed_diff_table
-from .errors import InvalidExponent, OutOfRange
+from .errors import OutOfRange
 from .qseries import (
     FactoredRational,
     TruncatedSeries,
     _divide_by_one_minus_q_power,
-    _multiply_by_one_minus_q_power,
     _times_one_minus_q_powers,
     _times_ratio,
     _trim,
@@ -141,30 +138,38 @@ def partial_fraction_series(spec, order: int) -> TruncatedSeries:
 
     the direct sum's summand in a = q^s, q^W a^{k+1} / prod_{j=0}^{t} (1-q^j a), in partial
     fractions in a, summed over s >= 1; its polynomial part is a constant only at t = k.
-    W + C(j,2) - kj >= W - C(k+1,2) >= 0.  The suffix sums q^W S_m step the rows [t,j] down
-    from [t,t] = 1; q^m q^W S_m / (1-q^m) is one pass over that polynomial, then repeats
-    with period m; (q)_t takes t passes.  No packed kernel of `counting` is used."""
+    The rational part (`_partial_fraction_rational`) also serves the core proofs
+    (`core_identity_check`).  No packed kernel of `counting` is used."""
     spec = _coerce_spec(spec)
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    t, k, lead = spec.total, spec.k, spec.weighted_total
-    suffix, total, row = [], [0] * (order + 1), [1]  # q^W S_{j+1}, the sum, [t,t]
+    t, k = spec.total, spec.k
+    rational = _partial_fraction_rational(t, k, spec.weighted_total, order)
+    if t > k:
+        return TruncatedSeries(rational)
+    return TruncatedSeries((-1) ** k * d + c for d, c in zip(fixed_diff_table(0, order), rational))
+
+
+def _partial_fraction_rational(t: int, k: int, lead: int, order: int) -> list[int]:
+    """-q^lead / (q)_t sum_{m=1}^{t} q^m S_m / (1-q^m) through q^order, for lead >= C(k+1,2):
+    every exponent lead + C(j,2) - kj is then >= 0.  The suffix sums -q^lead S_m step the rows
+    [t,j] down from [t,t] = 1; q^m (-q^lead S_m) / (1-q^m) is one pass over that polynomial,
+    then repeats with period m; (q)_t takes t passes."""
+    suffix, total, row = [], [0] * (order + 1), [1]  # -q^lead S_{j+1}, the sum, [t,t]
     for j in range(t, 0, -1):
         if j < t:
             row = _times_ratio(row, j + 1, t - j)  # [t,j] = [t,j+1] (1-q^{j+1}) / (1-q^{t-j})
         start = lead + math.comb(j, 2) - k * j
         end = min(start + len(row), order + 1)
         suffix += [0] * (end - len(suffix))
-        suffix[start:end] = map(operator.sub if j % 2 else operator.add, suffix[start:end], row)
+        suffix[start:end] = map(operator.add if j % 2 else operator.sub, suffix[start:end], row)
         piece = ([0] * j + suffix)[: order + 1]
         _divide_by_one_minus_q_power(piece, j)
         piece += piece[-j:] * ((order + 1 - len(piece)) // j + 1)  # period j past the polynomial
         total = list(map(operator.add, total, piece))
     for m in range(1, t + 1):
         _divide_by_one_minus_q_power(total, m)
-    if t > k:
-        return TruncatedSeries(map(operator.neg, total))
-    return TruncatedSeries((-1) ** k * d - c for d, c in zip(fixed_diff_table(0, order), total))
+    return total
 
 
 def series(spec, order: int) -> TruncatedSeries:
@@ -213,68 +218,16 @@ def p1_identity_check(order: int) -> bool:
     return direct_series_specified((1,), order) == partial_fraction_series((1,), order) == counted
 
 
-def heine_check(a_exp: int, b_exp: int, c_exp: int, z_exp: int, order: int) -> bool:
-    """Verify Heine's transformation at a = q^a_exp, b = q^b_exp, c = q^c_exp,
-    z = q^z_exp through q^order:
-
-        2phi1(a, b; c; z) = (c/b)_oo (bz)_oo / ((c)_oo (z)_oo) * 2phi1(abz/c, b; bz; c/b)
-
-    Both sides are summed by `_two_phi_one`.  At integer exponents the
-    infinite products telescope to
-    prod_{e=c-b}^{c-1} (1-q^e) / prod_{e=z}^{z+b-1} (1-q^e), 2b passes.
-    """
-    for name, e in (("a_exp", a_exp), ("b_exp", b_exp), ("c_exp", c_exp), ("z_exp", z_exp)):
-        if e < 1:
-            raise InvalidExponent(f"{name} must be >= 1, got {e}")
-    if c_exp <= b_exp:
-        raise InvalidExponent(
-            f"need c_exp > b_exp for the (c/b) infinite product, got {c_exp} <= {b_exp}"
-        )
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    args = (a_exp, b_exp, c_exp, z_exp, order)
-    return _two_phi_one(*args) == _heine_right_side(*args)
-
-
-def _heine_right_side(a_exp: int, b_exp: int, c_exp: int, z_exp: int, order: int) -> list[int]:
-    """The transformed side of `heine_check` through q^order."""
-    s, cb = a_exp + b_exp + z_exp - c_exp, c_exp - b_exp  # exponents of abz/c and c/b
-    total = _two_phi_one(s, b_exp, b_exp + z_exp, cb, order)
-    for e in range(cb, c_exp):
-        _multiply_by_one_minus_q_power(total, e)
-    for e in range(z_exp, z_exp + b_exp):
-        _divide_by_one_minus_q_power(total, e)
-    return total
-
-
-def _two_phi_one(a: int, b: int, c: int, z: int, order: int) -> list[int]:
-    """2phi1(q^a, q^b; q^c; q^z) = sum_{j>=0} (q^a)_j (q^b)_j q^{zj} / ((q)_j (q^c)_j)
-    through q^order, for b, c, z >= 1 and a + z >= 1.
-
-    Term j is sign * q^offset * P_j, each P_j stepped from P_{j-1} by one
-    in-place (1-q^e) pass per factor.  A factor 1 - q^e of (q^a)_j with e < 0
-    is rewritten as -q^e (1 - q^{-e}), and 1 - q^0 zeroes every later term.
-    The offset grows by z + min(e, 0) >= 1 per term, as e >= a, so every term
-    is a power series and the sum stops at the first term past the order.
-    P_j is cut to order + 1 - offset coefficients, the length of total[offset:]
-    it is added to, before its passes: each (1-q^m) pass is exact on a prefix.
-    """
-    total = [0] * (order + 1)
-    term = [1] + [0] * order  # P_0
-    offset, sign = 0, 1
-    for j in range(order + 2):  # offset >= j, so term order + 1 is past the order
-        if j > 0:
-            # P_j = P_{j-1} (1-q^{|a+j-1|})(1-q^{b+j-1}) / ((1-q^j)(1-q^{c+j-1}))
-            e = a + j - 1
-            offset += z + min(e, 0)
-            if e == 0 or offset > order:
-                break
-            if e < 0:
-                sign = -sign
-            del term[order + 1 - offset :]
-            _multiply_by_one_minus_q_power(term, abs(e))
-            _multiply_by_one_minus_q_power(term, b + j - 1)
-            _divide_by_one_minus_q_power(term, j)
-            _divide_by_one_minus_q_power(term, c + j - 1)
-        total[offset:] = map(operator.add if sign > 0 else operator.sub, total[offset:], term)
-    return total
+def core_identity_check(t: int, k: int) -> bool:
+    """Prove the core R_{t,k} = N1/D1 (`_closed_core`) equal to the partial-fraction form's
+    rational part at lead W = C(k+1,2), N2/D2 with D2 = (q)_t^2 of degree t(t+1).  Both are
+    rational with integer coefficients, so agreement through q^M, M = max(deg N1 + deg D2,
+    deg N2 + deg D1), makes them equal: N1 D2 - N2 D1 has degree <= M and vanishes mod
+    q^{M+1} (Zeilberger, "The C-finite ansatz", Ramanujan J. 31, 2013).  The term j of
+    q^m q^W S_m (q)_t / (1-q^m) has degree W + C(j,2) - kj + j(t-j) + C(t+1,2) at most."""
+    if not 1 <= k < t:
+        raise OutOfRange(f"a core needs 1 <= k < t, got t={t}, k={k}")
+    core, lead = _closed_core(t, k), math.comb(k + 1, 2)
+    top = lead + math.comb(t + 1, 2) + max(math.comb(j, 2) - k * j + j * (t - j) for j in range(1, t + 1))
+    order = max(len(core.numerator) - 1 + t * (t + 1), top + sum(m * e for m, e in core.denominator))
+    return list(core.expand(order).coeffs) == _partial_fraction_rational(t, k, lead, order)

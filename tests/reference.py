@@ -1,9 +1,10 @@
 """Reference computations that only the tests read: the counted partitions
 listed one by one, the unrestricted partition numbers, Gaussian binomials by
 the q-Pascal recurrence, the paper's difference-3 and distance-(2,2) case
-tables as quasipolynomials, and the closed form built for one spec and the
-2phi1 sum with full-length terms, against which genfun's shared (t, k) cores
-and cut terms are checked."""
+tables as quasipolynomials, the closed form built for one spec, against which
+genfun's shared (t, k) cores are checked, and Heine's transformation of basic
+hypergeometric series, a check of the qseries (1-q^m) passes that no route of
+the package sums."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import math
 from typing import Iterator, Sequence
 
 from partition_gf.counting import _coerce_spec
+from partition_gf.errors import InvalidExponent
 from partition_gf.genfun import _alternating_sum
 from partition_gf.qseries import (
     FactoredRational,
@@ -111,9 +113,45 @@ def closed_form_specified_one_spec(spec) -> FactoredRational:
     return FactoredRational(numerator, denominator).reduce()
 
 
-def two_phi_one_full_length(a: int, b: int, c: int, z: int, order: int) -> list[int]:
-    """`genfun._two_phi_one` with every term carried at full length order + 1
-    and added index by index."""
+def heine_check(a_exp: int, b_exp: int, c_exp: int, z_exp: int, order: int) -> bool:
+    """Heine's transformation at a = q^a_exp, b = q^b_exp, c = q^c_exp, z = q^z_exp
+    through q^order:
+
+        2phi1(a, b; c; z) = (c/b)_oo (bz)_oo / ((c)_oo (z)_oo) * 2phi1(abz/c, b; bz; c/b)
+
+    Both sides are summed by `two_phi_one`.  At integer exponents the infinite
+    products telescope to prod_{e=c-b}^{c-1} (1-q^e) / prod_{e=z}^{z+b-1} (1-q^e).
+    """
+    for name, e in (("a_exp", a_exp), ("b_exp", b_exp), ("c_exp", c_exp), ("z_exp", z_exp)):
+        if e < 1:
+            raise InvalidExponent(f"{name} must be >= 1, got {e}")
+    if c_exp <= b_exp:
+        raise InvalidExponent(
+            f"need c_exp > b_exp for the (c/b) infinite product, got {c_exp} <= {b_exp}"
+        )
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
+    args = (a_exp, b_exp, c_exp, z_exp, order)
+    return two_phi_one(*args) == _heine_right_side(*args)
+
+
+def _heine_right_side(a_exp: int, b_exp: int, c_exp: int, z_exp: int, order: int) -> list[int]:
+    """The transformed side of `heine_check` through q^order."""
+    s, cb = a_exp + b_exp + z_exp - c_exp, c_exp - b_exp  # exponents of abz/c and c/b
+    total = two_phi_one(s, b_exp, b_exp + z_exp, cb, order)
+    for e in range(cb, c_exp):
+        _multiply_by_one_minus_q_power(total, e)
+    for e in range(z_exp, z_exp + b_exp):
+        _divide_by_one_minus_q_power(total, e)
+    return total
+
+
+def two_phi_one(a: int, b: int, c: int, z: int, order: int) -> list[int]:
+    """2phi1(q^a, q^b; q^c; q^z) = sum_{j>=0} (q^a)_j (q^b)_j q^{zj} / ((q)_j (q^c)_j)
+    through q^order, for b, c, z >= 1 and a + z >= 1.  Term j is sign * q^offset * P_j,
+    P_j stepped from P_{j-1} by one (1-q^e) pass per factor at full length order + 1.
+    A factor 1 - q^e of (q^a)_j with e < 0 is -q^e (1 - q^{-e}), and 1 - q^0 zeroes
+    every later term; the offset grows by z + min(e, 0) >= 1 per term."""
     total = [0] * (order + 1)
     term = [1] + [0] * order
     offset, sign = 0, 1

@@ -25,7 +25,7 @@ from partition_gf.cli import (
     main,
     parse_distances,
 )
-from partition_gf.qseries import TruncatedSeries
+from partition_gf.qseries import FactoredRational, TruncatedSeries
 from test_startup import JOBS
 
 
@@ -160,25 +160,25 @@ class TestVerify:
         )
         assert code == EXIT_OK
         assert "FAIL" not in out
-        assert "identities/heine/k=1,t=2" in out
+        assert "identities/core/k=1,t=2" in out
 
-    def test_identities_suite_fails_on_corrupted_heine_side(self, capsys, monkeypatch):
-        right_side = genfun._heine_right_side
+    def test_identities_suite_fails_on_a_corrupted_core(self, capsys, monkeypatch):
+        real = genfun._closed_core
 
-        def corrupted(*args):
-            out = right_side(*args)
-            out[5] -= 1
-            return out
+        def corrupted(t, k):
+            core = real(t, k)
+            return FactoredRational([core.numerator[0] + 1, *core.numerator[1:]], core.denominator)
 
-        monkeypatch.setattr(genfun, "_heine_right_side", corrupted)
+        monkeypatch.setattr(genfun, "_closed_core", corrupted)
         code, out, _ = run(
             capsys, "verify", "--suite", "identities", "--t-max", "4", "--order", "30"
         )
         assert code == EXIT_VERIFY_FAIL
-        heine = [line for line in out.splitlines() if "identities/heine/" in line]
-        assert len(heine) == 6
-        assert all(line.startswith("FAIL identities/heine/") for line in heine)
+        core = [line for line in out.splitlines() if "identities/core/" in line]
+        assert len(core) == 6
+        assert all(line.startswith("FAIL identities/core/") for line in core)
         assert "PASS identities/p1/order=30" in out
+        assert out.count("PASS identities/q-binomial/") == 11
 
     def test_routes_suite(self, capsys):
         code, out, _ = run(
@@ -393,6 +393,13 @@ class TestPeriodCap:
         code, out, err = run(capsys, "compute", "--n", "5", "--distances", "10000")
         assert code == EXIT_OK
         assert out == "n=5 distances=10000 method=enumerate value=0\n"
+        assert err == ""
+
+    # At t = 2^63 the point count's cut does not fit a C ssize_t, islice's stop.
+    def test_enumerate_past_a_machine_word(self, capsys):
+        code, out, err = run(capsys, "compute", "--n", "5", "--distances", str(2**63))
+        assert code == EXIT_OK
+        assert out == f"n=5 distances={2**63} method=enumerate value=0\n"
         assert err == ""
 
 

@@ -362,6 +362,11 @@ class TestCountSpecified:
         with pytest.raises(ValueError):
             count_specified(0, (2, 2))
 
+    # A cut near cbrt(n t) past 2^63 would overflow islice's stop; no window has base > n.
+    @pytest.mark.parametrize("distances", [(2**63,), (1, 2**64)])
+    def test_a_distance_past_a_machine_word(self, distances):
+        assert count_specified(5, distances) == 0
+
 
 class TestQueryDispatch:
     def test_difference_zero(self):

@@ -8,22 +8,17 @@ import itertools
 import math
 
 import pytest
-from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from partition_gf import cli, counting, genfun
 from partition_gf.counting import divisor_count, fixed_diff_table, specified_table
-from partition_gf.errors import (
-    InvalidDistance,
-    InvalidExponent,
-    OutOfRange,
-)
+from partition_gf.errors import InvalidDistance, InvalidExponent, OutOfRange
 from partition_gf.genfun import (
     DistanceSpec,
     closed_form_fixed_diff,
     closed_form_specified,
+    core_identity_check,
     direct_series_specified,
-    heine_check,
     p1_identity_check,
     partial_fraction_series,
     qbinomial_alternating_sum,
@@ -35,11 +30,13 @@ from partition_gf.qseries import (
     gauss_binomial,
     pochhammer_q,
 )
+import reference
 from reference import (
     closed_form_specified_one_spec,
     gauss_binomial_pascal,
+    heine_check,
     iter_specified,
-    two_phi_one_full_length,
+    two_phi_one,
 )
 
 
@@ -214,13 +211,21 @@ def _refuse(name):
     return refuse
 
 
-def _mutate_partial_fraction_series(monkeypatch, old, new):
-    """Replace genfun.partial_fraction_series by its source with `old` replaced once by `new`."""
-    source = inspect.getsource(genfun.partial_fraction_series)
+def _mutate(monkeypatch, name, old, new):
+    """Replace genfun.<name> by its source with `old` replaced once by `new`."""
+    source = inspect.getsource(getattr(genfun, name))
     assert source.count(old) == 1
     namespace = dict(vars(genfun))
     exec(compile(source.replace(old, new), genfun.__file__, "exec"), namespace)
-    monkeypatch.setattr(genfun, "partial_fraction_series", namespace["partial_fraction_series"])
+    monkeypatch.setattr(genfun, name, namespace[name])
+
+
+# The Gaussian row [t, 2] added with the wrong sign in the partial-fraction form.
+J2_SIGN_FLIP = (
+    "operator.add if j % 2 else operator.sub",
+    "operator.add if (j % 2) != (j == 2) else operator.sub",
+)
+DIVISOR_SIGN_FLIP = ("(-1) ** k * d + c", "(-1) ** (k + 1) * d + c")
 
 
 class TestPartialFractionSeries:
@@ -264,18 +269,12 @@ class TestPartialFractionSeries:
         assert called == [route]
 
     @pytest.mark.parametrize(
-        "old, new",
-        [
-            (
-                "operator.sub if j % 2 else operator.add",
-                "operator.sub if (j % 2) != (j == 2) else operator.add",
-            ),
-            ("(-1) ** k * d - c", "(-1) ** (k + 1) * d - c"),
-        ],
+        "name, flip",
+        [("_partial_fraction_rational", J2_SIGN_FLIP), ("partial_fraction_series", DIVISOR_SIGN_FLIP)],
         ids=["j=2-term-sign", "divisor-term-sign"],
     )
-    def test_a_flipped_sign_fails_the_cli_route_check(self, old, new, capsys, monkeypatch):
-        _mutate_partial_fraction_series(monkeypatch, old, new)
+    def test_a_flipped_sign_fails_the_cli_route_check(self, name, flip, capsys, monkeypatch):
+        _mutate(monkeypatch, name, *flip)
         assert cli.main(["compute", "--n", "2000", "--distances", "1,1,1", "--method", "all"]) == 1
         assert "METHOD DISAGREEMENT" in capsys.readouterr().err
 
@@ -413,11 +412,76 @@ class TestP1Identity:
     # p1's middle route is the all-ones partial-fraction form at k = 1, the
     # route `series` reads from order 100 t.
     def test_a_flipped_divisor_term_fails_the_identities_suite(self, capsys, monkeypatch):
-        _mutate_partial_fraction_series(monkeypatch, "(-1) ** k * d - c", "(-1) ** (k + 1) * d - c")
+        _mutate(monkeypatch, "partial_fraction_series", *DIVISOR_SIGN_FLIP)
         assert cli.main(["verify", "--suite", "identities", "--t-max", "2", "--order", "60"]) == 1
         assert "FAIL identities/p1/order=60" in capsys.readouterr().out.splitlines()
 
 
+CORE_PAIRS = [(t, k) for t in range(2, 13) for k in range(1, t)]
+
+
+@pytest.fixture
+def fresh_cores():
+    """Clear the per-process core cache around a test that corrupts how cores are built."""
+    cores = genfun._closed_core
+    cores.cache_clear()
+    yield
+    cores.cache_clear()
+
+
+def _top_plus_one(t, k, real=genfun._closed_core):
+    core = real(t, k)
+    return FactoredRational([*core.numerator[:-1], core.numerator[-1] + 1], core.denominator)
+
+
+def _reduce_keeping_one_more(self, real=FactoredRational.reduce):
+    reduced = real(self)
+    return FactoredRational(reduced.numerator, [*reduced.denominator, (1, 1)])
+
+
+def _gauss_binomial_doubled_at_zero(top, bottom, real=gauss_binomial):
+    return (2,) if bottom == 0 else real(top, bottom)
+
+
+def _alternating_sum_off_by_one(t, js, real=genfun._alternating_sum):
+    out = real(t, js)
+    out[-1] += 1
+    return out
+
+
+class TestCoreIdentity:
+    @pytest.mark.parametrize("t, k", CORE_PAIRS)
+    def test_every_core_to_the_period_cap_is_proved(self, t, k):
+        assert core_identity_check(t, k)
+
+    @pytest.mark.parametrize("t, k", [(1, 1), (3, 3), (4, 5), (3, 0)])
+    def test_rejects_pairs_without_a_core(self, t, k):
+        with pytest.raises(OutOfRange, match=f"got t={t}, k={k}"):
+            core_identity_check(t, k)
+
+    # Each corrupts the core alone; the last one, at the numerator's top
+    # coefficient, shows that the proof order M reaches deg N1.
+    @pytest.mark.parametrize(
+        "target, name, corrupt",
+        [
+            (genfun, "_alternating_sum", _alternating_sum_off_by_one),
+            (genfun, "gauss_binomial", _gauss_binomial_doubled_at_zero),
+            (FactoredRational, "reduce", _reduce_keeping_one_more),
+            (genfun, "_closed_core", _top_plus_one),
+        ],
+        ids=["alternating-sum", "gauss-binomial-t-0", "reduce-keeps-1-q", "numerator-top-plus-one"],
+    )
+    def test_a_corrupted_core_fails_every_pair(self, target, name, corrupt, monkeypatch, fresh_cores):
+        monkeypatch.setattr(target, name, corrupt)
+        assert [pair for pair in CORE_PAIRS if core_identity_check(*pair)] == []
+
+    def test_a_flipped_row_in_the_partial_fraction_form_fails_every_pair(self, monkeypatch):
+        _mutate(monkeypatch, "_partial_fraction_rational", *J2_SIGN_FLIP)
+        assert [pair for pair in CORE_PAIRS if core_identity_check(*pair)] == []
+
+
+# Heine's transformation, both sides summed by the reference 2phi1: a check of
+# the (1-q^m) passes that the closed forms and series routes run on.
 class TestHeine:
     def test_proof_specialization_single_difference(self):
         # a = b = q, c = q^{t+2}, z = q^2 with t = 3
@@ -459,14 +523,14 @@ class TestHeine:
 
     @pytest.mark.parametrize("n", [0, 7, 40])
     def test_fails_when_right_side_is_corrupted(self, monkeypatch, n):
-        right_side = genfun._heine_right_side
+        right_side = reference._heine_right_side
 
         def corrupted(*args):
             out = right_side(*args)
             out[n] += 1
             return out
 
-        monkeypatch.setattr(genfun, "_heine_right_side", corrupted)
+        monkeypatch.setattr(reference, "_heine_right_side", corrupted)
         assert not heine_check(1, 1, 5, 2, 40)
 
 
@@ -481,22 +545,7 @@ def test_two_phi_one_q_chu_vandermonde(n, b, c):
     )
     for order in (0, 9, 40):
         expected = list(products.expand(order).coeffs)
-        assert genfun._two_phi_one(-n, b, c, c - b + n, order) == expected
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    a=st.integers(-8, 8),
-    b=st.integers(1, 6),
-    c=st.integers(1, 8),
-    z=st.integers(1, 9),
-    order=st.integers(0, 60),
-)
-@example(a=-3, b=2, c=4, z=5, order=40)  # three sign flips, then 1 - q^0 ends the sum
-@example(a=1, b=1, c=9, z=1, order=60)  # every term down to one coefficient
-def test_two_phi_one_matches_full_length_terms(a, b, c, z, order):
-    assume(a + z >= 1)
-    assert genfun._two_phi_one(a, b, c, z, order) == two_phi_one_full_length(a, b, c, z, order)
+        assert two_phi_one(-n, b, c, c - b + n, order) == expected
 
 
 @pytest.mark.parametrize("spec", ROUTE_CHECK_SPECS, ids=str)

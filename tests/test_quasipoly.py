@@ -478,14 +478,15 @@ CLI_GOLDEN = {
         "a289e8e6d1aceab1238f022b9668eb9b218c35be7e2dfec62b2260826b16e779",
     ("verify", "--suite", "routes", "--t-max", "8", "--n-max", "150"):
         "862c0d26454208734483ca2e34141038d368b21bfce2ee908bfa43686444b77d",
-    # captured before both sides of Heine's transformation were summed by one 2phi1
+    # The three identities goldens: the earlier output with each
+    # identities/heine/ id read as identities/core/, the core proof that
+    # replaced the Heine check on the same (k, t) pairs.
     ("verify", "--suite", "identities", "--t-max", "8", "--order", "200"):
-        "9951a80d98eba00315f2000ff4e7545ba510d290d25c383f681ad89e0725f131",
-    # captured before p1's middle route became the partial-fraction form
+        "52fd303d125f1c363c0057f4e0a2a0c557a1e1a9e7da860248db3f72ac64dee7",
     ("verify", "--suite", "identities", "--t-max", "12", "--order", "400"):
-        "f0a14a4676821ed0ee12d6a045a8a3e314d4b623ec17d9e38441719b7d8b37fb",
+        "91e21cbb10da3a92768cfd228adbe3dd5aa4647a7de9ba12b3f1d3cc7170ed9b",
     ("verify", "--suite", "all"):
-        "c5858f3e208f72e480327c4e173d2651b16ba9f30245a57ac394997b09cb6c97",
+        "6c91156652e0b2377899481aabe687a193737665f111cd35a990110072dac2a9",
     # captured before SequenceFixture became a NamedTuple and b-files one writer
     ("oeis",):
         "d392d7b2f58eb08f7810070408e9516ded367fb691693ab680f55b7b3aaccf91",
