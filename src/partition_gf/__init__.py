@@ -30,7 +30,6 @@ from .genfun import (
     core_identity_check,
     direct_series_specified,
     p1_identity_check,
-    qbinomial_alternating_sum,
 )
 from .qseries import (
     FactoredRational,
@@ -60,7 +59,6 @@ __all__ = [
     "core_identity_check",
     "direct_series_specified",
     "p1_identity_check",
-    "qbinomial_alternating_sum",
     "FactoredRational",
     "TruncatedSeries",
     "gauss_binomial",

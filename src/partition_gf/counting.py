@@ -24,13 +24,17 @@ import struct
 from itertools import islice, repeat
 from typing import Sequence
 
-from .errors import InvalidDistance
+from .errors import InvalidDistance, TooLarge
+
+MAX_DIVISOR_N = 10**14  # trial division to sqrt(n): 10^7 steps there, about 0.8 s
 
 
 def divisor_count(n: int) -> int:
-    """Number of positive divisors of n, by trial division up to sqrt(n)."""
+    """Number of positive divisors of n <= MAX_DIVISOR_N, by trial division up to sqrt(n)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > MAX_DIVISOR_N:
+        raise TooLarge(f"n={n} is above the divisor-count cap {MAX_DIVISOR_N} = 10^14 (trial division)")
     count = 0
     root = math.isqrt(n)
     for d in range(1, root + 1):

@@ -25,7 +25,11 @@ class OutOfRange(PartitionGFError):
     """Arguments violate a theorem hypothesis (e.g. total distance t <= k)."""
 
 
-class PeriodTooLarge(PartitionGFError):
+class TooLarge(PartitionGFError):
+    """An input exceeds a route's documented size cap (CLI exit code 2)."""
+
+
+class PeriodTooLarge(TooLarge):
     """A quasipolynomial period lcm(1..t) exceeds the supported cap."""
 
 

@@ -105,7 +105,7 @@ def closed_form_specified_one_spec(spec) -> FactoredRational:
     the reduction, with no form shared between specs."""
     spec = _coerce_spec(spec)
     t, k = spec.total, spec.k
-    partial, poch = _alternating_sum(t, range(k + 1)), pochhammer_q(t)
+    partial, poch = _alternating_sum(t, k), pochhammer_q(t)
     core = [(-1) ** k * (a - p) for a, p in zip(partial, poch)]
     lead_exp = spec.weighted_total - math.comb(k + 1, 2)
     numerator = _times_one_minus_q_powers([0] * lead_exp + core, [*range(1, k + 1), *range(1, t - k)])

@@ -10,14 +10,13 @@ import math
 import time
 from fractions import Fraction
 
-from partition_gf import counting, oeis, quasipoly
+from partition_gf import counting, genfun, oeis, quasipoly
 from partition_gf.genfun import (
     DistanceSpec,
     closed_form_fixed_diff,
     closed_form_specified,
     core_identity_check,
     direct_series_specified,
-    qbinomial_alternating_sum,
 )
 from partition_gf.qseries import FactoredRational, pochhammer_q
 from reference import total_partition_count
@@ -118,7 +117,7 @@ def test_criterion_7_leading_coefficient_law():
 
 def test_criterion_8_identities():
     for t in range(11):
-        assert qbinomial_alternating_sum(t) == pochhammer_q(t)
+        assert tuple(genfun._alternating_sum(t, t)) == pochhammer_q(t)
     for t in range(2, 7):
         for k in range(1, t):
             assert core_identity_check(t, k)

@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +19,7 @@ from partition_gf.counting import (
     fixed_diff_table,
     specified_table,
 )
-from partition_gf.errors import InvalidDistance
+from partition_gf.errors import InvalidDistance, TooLarge
 from partition_gf.genfun import DistanceSpec, direct_series_specified
 from partition_gf.qseries import (
     _divide_by_one_minus_q_power,
@@ -55,6 +56,22 @@ class TestDivisorCount:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             divisor_count(0)
+
+    def test_cap_is_checked_before_any_division(self, monkeypatch):
+        def no_division(n):
+            raise AssertionError("trial division ran above the cap")
+
+        monkeypatch.setattr(counting, "math", SimpleNamespace(isqrt=no_division))
+        for n in (counting.MAX_DIVISOR_N + 1, 10**20):
+            with pytest.raises(TooLarge, match=r"divisor-count cap 100000000000000 = 10\^14"):
+                divisor_count(n)
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        # At a cap of 100 the loop is short: 100 itself is counted, 101 is refused.
+        monkeypatch.setattr(counting, "MAX_DIVISOR_N", 100)
+        assert divisor_count(100) == 9
+        with pytest.raises(TooLarge):
+            divisor_count(101)
 
 
 class TestTotalPartitionCount:

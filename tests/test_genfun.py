@@ -21,7 +21,6 @@ from partition_gf.genfun import (
     direct_series_specified,
     p1_identity_check,
     partial_fraction_series,
-    qbinomial_alternating_sum,
     series,
 )
 from partition_gf.qseries import (
@@ -350,19 +349,21 @@ class TestClosedFormSpecified:
 
 
 class TestQBinomialAlternatingSum:
+    # The finite q-binomial theorem: the closed forms' sum run to j = k = t is (q)_t,
+    # of degree C(t+1, 2), the length the sum is built at.
     @pytest.mark.parametrize("t", range(11))
     def test_full_sum_is_pochhammer(self, t):
-        assert qbinomial_alternating_sum(t) == pochhammer_q(t)
+        assert tuple(genfun._alternating_sum(t, t)) == pochhammer_q(t)
 
     def test_empty_prefix_case(self):
-        assert qbinomial_alternating_sum(0) == (1,)
+        assert genfun._alternating_sum(0, 0) == [1]
 
     @pytest.mark.parametrize("t", range(2, 9))
     def test_tail_from_two(self, t):
         # sum_{j=2}^{t} = (q)_t - 1 + q [t,1]: the full sum less the partial
         # sum through j = 1, the kind `closed_form_specified` stops at j = k
-        tail = list(qbinomial_alternating_sum(t))
-        for i, c in enumerate(genfun._alternating_sum(t, range(2))):
+        tail = genfun._alternating_sum(t, t)
+        for i, c in enumerate(genfun._alternating_sum(t, 1)):
             tail[i] -= c
         expected = [0, *pochhammer_q(t)[1:]]
         for i, c in enumerate(gauss_binomial(t, 1), 1):
@@ -384,16 +385,12 @@ class TestQBinomialAlternatingSum:
                 )
                 for n in range(math.comb(t + 1, 2) + 1)
             ]
-            assert genfun._alternating_sum(t, range(k + 1)) == expected
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            qbinomial_alternating_sum(-1)
+            assert genfun._alternating_sum(t, k) == expected
 
 
 @pytest.mark.parametrize("t", range(9))
 def test_polynomials_are_trimmed_tuples(t):
-    polys = [pochhammer_q(t), qbinomial_alternating_sum(t)]
+    polys = [pochhammer_q(t)]
     polys += [gauss_binomial(t, j) for j in range(-1, t + 2)]
     for poly in polys:
         assert type(poly) is tuple
@@ -443,10 +440,15 @@ def _gauss_binomial_doubled_at_zero(top, bottom, real=gauss_binomial):
     return (2,) if bottom == 0 else real(top, bottom)
 
 
-def _alternating_sum_off_by_one(t, js, real=genfun._alternating_sum):
-    out = real(t, js)
+def _alternating_sum_off_by_one(t, k, real=genfun._alternating_sum):
+    out = real(t, k)
     out[-1] += 1
     return out
+
+
+def _pochhammer_top_plus_one(t, real=pochhammer_q):
+    poch = real(t)
+    return (*poch[:-1], poch[-1] + 1)
 
 
 class TestCoreIdentity:
@@ -466,10 +468,14 @@ class TestCoreIdentity:
         [
             (genfun, "_alternating_sum", _alternating_sum_off_by_one),
             (genfun, "gauss_binomial", _gauss_binomial_doubled_at_zero),
+            (genfun, "pochhammer_q", _pochhammer_top_plus_one),
             (FactoredRational, "reduce", _reduce_keeping_one_more),
             (genfun, "_closed_core", _top_plus_one),
         ],
-        ids=["alternating-sum", "gauss-binomial-t-0", "reduce-keeps-1-q", "numerator-top-plus-one"],
+        ids=[
+            "alternating-sum", "gauss-binomial-t-0", "pochhammer-top-plus-one",
+            "reduce-keeps-1-q", "numerator-top-plus-one",
+        ],
     )
     def test_a_corrupted_core_fails_every_pair(self, target, name, corrupt, monkeypatch, fresh_cores):
         monkeypatch.setattr(target, name, corrupt)
