@@ -20,12 +20,16 @@ from partition_gf.cli import (
     EXIT_USAGE,
     EXIT_VERIFY_FAIL,
     UsageError,
+    _check_routes,
     _plain_args,
+    _specified_grid,
     build_parser,
     main,
     parse_distances,
 )
+from partition_gf.counting import DistanceSpec
 from partition_gf.qseries import FactoredRational, TruncatedSeries
+from reference import check_routes_per_spec
 from test_startup import JOBS
 
 
@@ -278,17 +282,80 @@ def test_route_check_fails_when_one_route_is_wrong(
         assert len(right) == 1 and int(values[route]) == right.pop() + 1
 
 
+GRID = list(_specified_grid())
+
+
+@pytest.mark.parametrize("n_max", [1, 5, 37, 120, 150])
+def test_route_check_by_class_matches_the_per_spec_check(n_max):
+    # At small n_max some members' first count is past the end.
+    assert len(GRID) == 78
+    for specs in (GRID, [(t,) for t in range(2, 9)]):
+        assert _check_routes(specs, n_max) == check_routes_per_spec(specs, n_max)
+
+
+@pytest.mark.parametrize("tk", [(4, 2), (7, 3)], ids=str)
+@pytest.mark.parametrize(
+    "module, name, corrupt, route",
+    [
+        pytest.param(counting, "specified_table", _corrupt_table, "table", id="table"),
+        pytest.param(genfun, "direct_series_specified", _corrupt_direct, "direct", id="direct"),
+        pytest.param(genfun, "closed_form_specified", _corrupt_closed, "closed", id="closed"),
+    ],
+)
+def test_a_corrupted_class_fails_every_member_at_its_shift(
+    capsys, monkeypatch, module, name, corrupt, route, tk
+):
+    # One route's series for one (t, k) class is wrong at n = 30; each member
+    # of weighted total W reads it at n = 30 + W - W0, W0 the class's least,
+    # and the member of largest W reads it at n = n_max, the last n checked.
+    real = getattr(module, name)
+    wrong = corrupt(real)
+    patched = lambda spec, *args: (wrong if (spec.total, spec.k) == tk else real)(spec, *args)
+    monkeypatch.setattr(module, name, patched)
+    members = [DistanceSpec(d) for d in GRID if (sum(d), len(d)) == tk]
+    w0 = min(spec.weighted_total for spec in members)
+    n_max = 30 + max(spec.weighted_total for spec in members) - w0
+    code, out, _ = run(capsys, "verify", "--suite", "routes", "--t-max", "4", "--n-max", str(n_max))
+    assert code == EXIT_VERIFY_FAIL
+    failed = dict(line[5:].split(": ", 1) for line in out.splitlines() if line.startswith("FAIL "))
+    ids = {f"routes/specified/({','.join(map(str, s.distances))})": s for s in members}
+    assert set(failed) == set(ids)
+    for check_id, spec in ids.items():
+        prefix = f"routes disagree at n={30 + spec.weighted_total - w0}: "
+        assert failed[check_id].startswith(prefix)
+        values = dict(item.split("=") for item in failed[check_id][len(prefix) :].split(", "))
+        right = {int(v) for r, v in values.items() if r != route}
+        assert len(right) == 1 and int(values[route]) == right.pop() + 1
+    assert len({spec.weighted_total for spec in members}) > 1
+
+
 def test_route_suite_builds_one_closed_form_core_per_class(capsys, monkeypatch):
-    # The 78 grid specs fall into 15 (t, k) classes, plus (t, 1) for t = 2..6;
-    # a second run in the same process builds none.
+    # The 78 grid specs fall into 15 (t, k) classes, plus (t, 1) for t = 2..6:
+    # each route runs once per class, and a second run in the same process
+    # builds no core.
     real, classes = genfun._alternating_sum, []
     monkeypatch.setattr(genfun, "_alternating_sum", lambda t, k: classes.append((t, k)) or real(t, k))
+    calls = {}
+    for module, name in (
+        (counting, "specified_table"),
+        (genfun, "direct_series_specified"),
+        (genfun, "closed_form_specified"),
+    ):
+        route, seen = getattr(module, name), calls.setdefault(name, [])
+        counted = lambda spec, *a, route=route, seen=seen: seen.append((spec.total, spec.k)) or route(spec, *a)
+        monkeypatch.setattr(module, name, counted)
+    expected = {(t, 1) for t in range(2, 7)} | {(sum(d), len(d)) for d in GRID}
+    assert len(expected) == 20
     genfun._closed_core.cache_clear()
     for built in (20, 0):
         classes.clear()
+        for seen in calls.values():
+            seen.clear()
         code, _, _ = run(capsys, "verify", "--suite", "routes", "--t-max", "6")
         assert code == EXIT_OK
         assert len(classes) == len(set(classes)) == built
+        for seen in calls.values():
+            assert len(seen) == 20 and set(seen) == expected
 
 
 class TestFit:
