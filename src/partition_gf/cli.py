@@ -170,46 +170,31 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _specified_grid():
-    """Every (t1..tk) with k = 2 or 3, each ti in 1..4 and t > k: 78 specs."""
-    for k in (2, 3):
-        for distances in itertools.product(range(1, 5), repeat=k):
-            if sum(distances) > k:
-                yield distances
-
-
-def _check_routes(specs, n_max: int) -> list[tuple[str, bool, str]]:
-    """The closed form, the direct sum and the counting table must agree on
-    each spec; for one distance the paper's displayed form must match too.
-    Each route sees the weighted total W only as a leading shift q^W, so the
-    specs run by (t, k) class (the 78-spec grid in 15): the routes run once,
-    at the member of least W, W0, and each member reads those series shifted
-    right by W - W0, cut at n_max.  Acceptance criterion 4 runs every route
-    on every grid spec."""
-    specs = [DistanceSpec(distances) for distances in specs]
-    base = {}  # (t, k) -> its member of least W: by W descending, the last write wins
-    for spec in sorted(specs, key=lambda spec: spec.weighted_total, reverse=True):
-        base[spec.total, spec.k] = spec
-    series = {tk: _route_series(spec, n_max) for tk, spec in base.items()}
+def _check_routes(t_max: int, n_max: int) -> list[tuple[str, bool, str]]:
+    """One row `routes/t=..,k=..` per class 1 <= k <= t <= t_max, run on its member of
+    least W, (1, ..., 1, t-k+1): a spec enters the series only through (t, k) and a
+    power of q.  Columns: the closed form where t > k, the direct sum, the table, the
+    partial-fraction form and, at k = 1 < t, the paper's displayed form; each must
+    equal the table.  k = 1 rows run to n_max, the others to min(n_max, 120).
+    Acceptance criterion 4 runs every route on every vector of a grid of specs."""
     results = []
-    for spec in specs:
-        tk = spec.total, spec.k
-        shift = [0] * (spec.weighted_total - base[tk].weighted_total)
-        routes = {r: (shift + values)[: n_max + 1] for r, values in series[tk].items()}
-        if spec.k == 1:
-            check_id = f"routes/fixed-diff/t={spec.total}"
-        else:
-            check_id = f"routes/specified/({','.join(str(d) for d in spec.distances)})"
-        ok = all(values == routes["closed"] for values in routes.values())
-        results.append((check_id, ok, "" if ok else _disagreement(routes)))
+    for t in range(1, t_max + 1):
+        for k in range(1, t + 1):
+            spec = DistanceSpec((1,) * (k - 1) + (t - k + 1,))
+            routes = _route_series(spec, n_max if k == 1 else min(n_max, 120))
+            ok = all(values == routes["table"] for values in routes.values())
+            results.append((f"routes/t={t},k={k}", ok, "" if ok else _disagreement(routes)))
     return results
 
 
 def _route_series(spec: DistanceSpec, n_max: int) -> dict[str, list[int]]:
-    routes = {"closed": list(genfun.closed_form_specified(spec).expand(n_max).coeffs)}
+    routes = {}
+    if spec.has_closed_form:
+        routes["closed"] = list(genfun.closed_form_specified(spec).expand(n_max).coeffs)
     routes["direct"] = list(genfun.direct_series_specified(spec, n_max).coeffs)
     routes["table"] = counting.specified_table(spec, n_max)
-    if spec.k == 1:
+    routes["partial"] = list(genfun.partial_fraction_series(spec, n_max).coeffs)
+    if spec.k == 1 and spec.has_closed_form:
         routes["displayed"] = list(genfun.closed_form_fixed_diff(spec.total).expand(n_max).coeffs)
     return routes
 
@@ -285,8 +270,7 @@ def cmd_verify(args) -> int:
     if args.suite in ("oeis", "all"):
         _require_first_n(sorted(oeis.KNOWN_SEQUENCES), args.n_max)
     suites = {
-        "routes": lambda: _check_routes([(t,) for t in range(2, args.t_max + 1)], args.n_max)
-        + _check_routes(_specified_grid(), min(args.n_max, 120)),
+        "routes": lambda: _check_routes(args.t_max, args.n_max),
         "identities": lambda: _check_identities(args.t_max, args.order),
         "asymptotics": lambda: _check_asymptotics(args.t_max),
         "oeis": lambda: _check_oeis(args.fixtures_dir, args.n_max),

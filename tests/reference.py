@@ -2,19 +2,18 @@
 listed one by one, the unrestricted partition numbers, Gaussian binomials by
 the q-Pascal recurrence, the paper's difference-3 and distance-(2,2) case
 tables as quasipolynomials, the closed form built for one spec, against which
-genfun's shared (t, k) cores are checked, the routes check run spec by spec,
-against which the CLI's run by (t, k) class is checked, and Heine's
-transformation of basic hypergeometric series, a check of the qseries (1-q^m)
-passes that no route of the package sums."""
+genfun's shared (t, k) cores are checked, a grid of 78 distance vectors on
+which the tests run every route, and Heine's transformation of basic
+hypergeometric series, a check of the qseries (1-q^m) passes that no route of
+the package sums."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, Sequence
 
-from partition_gf import counting, genfun
-from partition_gf.cli import _disagreement
-from partition_gf.counting import DistanceSpec, _coerce_spec
+from partition_gf.counting import _coerce_spec
 from partition_gf.errors import InvalidExponent
 from partition_gf.genfun import _alternating_sum
 from partition_gf.qseries import (
@@ -116,24 +115,12 @@ def closed_form_specified_one_spec(spec) -> FactoredRational:
     return FactoredRational(numerator, denominator).reduce()
 
 
-def check_routes_per_spec(specs, n_max: int) -> list[tuple[str, bool, str]]:
-    """`cli._check_routes` with every route run on every spec: the closed form,
-    the direct sum and the counting table, and for one distance the paper's
-    displayed form, all at order n_max."""
-    results = []
-    for distances in specs:
-        spec = DistanceSpec(distances)
-        routes = {"closed": list(genfun.closed_form_specified(spec).expand(n_max).coeffs)}
-        routes["direct"] = list(genfun.direct_series_specified(spec, n_max).coeffs)
-        routes["table"] = counting.specified_table(spec, n_max)
-        if spec.k == 1:
-            routes["displayed"] = list(genfun.closed_form_fixed_diff(spec.total).expand(n_max).coeffs)
-            check_id = f"routes/fixed-diff/t={spec.total}"
-        else:
-            check_id = f"routes/specified/({','.join(str(d) for d in distances)})"
-        ok = all(values == routes["closed"] for values in routes.values())
-        results.append((check_id, ok, "" if ok else _disagreement(routes)))
-    return results
+def specified_grid():
+    """Every (t1..tk) with k = 2 or 3, each ti in 1..4 and t > k: 78 specs."""
+    for k in (2, 3):
+        for distances in itertools.product(range(1, 5), repeat=k):
+            if sum(distances) > k:
+                yield distances
 
 
 def heine_check(a_exp: int, b_exp: int, c_exp: int, z_exp: int, order: int) -> bool:

@@ -20,16 +20,12 @@ from partition_gf.cli import (
     EXIT_USAGE,
     EXIT_VERIFY_FAIL,
     UsageError,
-    _check_routes,
     _plain_args,
-    _specified_grid,
     build_parser,
     main,
     parse_distances,
 )
-from partition_gf.counting import DistanceSpec
 from partition_gf.qseries import FactoredRational, TruncatedSeries
-from reference import check_routes_per_spec
 from test_startup import JOBS
 
 
@@ -202,7 +198,20 @@ class TestVerify:
             capsys, "verify", "--suite", "routes", "--t-max", "6", "--n-max", "80"
         )
         assert code == EXIT_OK
-        assert "routes/fixed-diff/t=6" in out
+        assert "PASS routes/t=6,k=1" in out and "PASS routes/t=6,k=6" in out
+        assert out.endswith("21/21 checks passed\n")
+
+    def test_routes_suite_has_one_row_per_class(self, capsys):
+        # Ids sort as strings: t=10 comes before t=2.
+        code, out, _ = run(
+            capsys, "verify", "--suite", "routes", "--t-max", "12", "--n-max", "60"
+        )
+        assert code == EXIT_OK
+        ids = [line.split()[1] for line in out.splitlines()[:-1]]
+        classes = [(t, k) for t in range(1, 13) for k in range(1, t + 1)]
+        assert len(classes) == 78
+        assert ids == sorted(f"routes/t={t},k={k}" for t, k in classes)
+        assert out.endswith("78/78 checks passed\n")
 
     def test_asymptotics_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "asymptotics", "--t-max", "6")
@@ -258,104 +267,95 @@ def _corrupt_closed(real):
     )
 
 
-@pytest.mark.parametrize(
-    "module, name, corrupt, route",
-    [
-        pytest.param(counting, "specified_table", _corrupt_table, "table", id="table"),
-        pytest.param(genfun, "direct_series_specified", _corrupt_direct, "direct", id="direct"),
-        pytest.param(genfun, "closed_form_specified", _corrupt_closed, "closed", id="closed"),
-        pytest.param(genfun, "closed_form_fixed_diff", _corrupt_closed, "displayed", id="displayed"),
-    ],
-)
-def test_route_check_fails_when_one_route_is_wrong(
-    capsys, monkeypatch, module, name, corrupt, route
-):
+def _columns(t, k):
+    """The routes of row (t, k), in the order its disagreement lists them."""
+    return ["closed"] * (t > k) + ["direct", "table", "partial"] + ["displayed"] * (k == 1 < t)
+
+
+def _failed_rows(out, route):
+    """Each FAIL row's id, after checking that it disagrees first at n = 30,
+    lists its class's columns and has `route` alone one above the rest."""
+    failed = []
+    for line in out.splitlines():
+        if line.startswith("FAIL "):
+            check_id, detail = line[5:].split(": ", 1)
+            prefix = "routes disagree at n=30: "
+            assert detail.startswith(prefix), line
+            values = dict(item.split("=") for item in detail[len(prefix) :].split(", "))
+            t, k = (int(part.split("=")[1]) for part in check_id[len("routes/") :].split(","))
+            assert list(values) == _columns(t, k)
+            right = {int(v) for r, v in values.items() if r != route}
+            assert len(right) == 1 and int(values[route]) == right.pop() + 1
+            failed.append((t, k))
+    return failed
+
+
+ROUTES = {
+    "table": (counting, "specified_table", _corrupt_table),
+    "direct": (genfun, "direct_series_specified", _corrupt_direct),
+    "partial": (genfun, "partial_fraction_series", _corrupt_direct),
+    "closed": (genfun, "closed_form_specified", _corrupt_closed),
+    "displayed": (genfun, "closed_form_fixed_diff", _corrupt_closed),
+}
+
+
+@pytest.mark.parametrize("route", ["table", "direct", "closed", "displayed", "partial"])
+def test_route_check_fails_when_one_route_is_wrong(capsys, monkeypatch, route):
+    # Every row with the route's column fails at n = 30, and only those.
+    module, name, corrupt = ROUTES[route]
     monkeypatch.setattr(module, name, corrupt(getattr(module, name)))
     code, out, _ = run(capsys, "verify", "--suite", "routes", "--t-max", "4", "--n-max", "60")
     assert code == EXIT_VERIFY_FAIL
-    for t in (2, 3, 4):
-        prefix = f"FAIL routes/fixed-diff/t={t}: routes disagree at n=30: "
-        (line,) = [line for line in out.splitlines() if line.startswith(prefix)]
-        values = dict(item.split("=") for item in line[len(prefix) :].split(", "))
-        assert list(values) == ["closed", "direct", "table", "displayed"]
-        right = {int(v) for r, v in values.items() if r != route}
-        assert len(right) == 1 and int(values[route]) == right.pop() + 1
+    classes = [(t, k) for t in range(1, 5) for k in range(1, t + 1)]
+    assert sorted(_failed_rows(out, route)) == [tk for tk in classes if route in _columns(*tk)]
 
 
-GRID = list(_specified_grid())
-
-
-@pytest.mark.parametrize("n_max", [1, 5, 37, 120, 150])
-def test_route_check_by_class_matches_the_per_spec_check(n_max):
-    # At small n_max some members' first count is past the end.
-    assert len(GRID) == 78
-    for specs in (GRID, [(t,) for t in range(2, 9)]):
-        assert _check_routes(specs, n_max) == check_routes_per_spec(specs, n_max)
-
-
-@pytest.mark.parametrize("tk", [(4, 2), (7, 3)], ids=str)
 @pytest.mark.parametrize(
-    "module, name, corrupt, route",
-    [
-        pytest.param(counting, "specified_table", _corrupt_table, "table", id="table"),
-        pytest.param(genfun, "direct_series_specified", _corrupt_direct, "direct", id="direct"),
-        pytest.param(genfun, "closed_form_specified", _corrupt_closed, "closed", id="closed"),
-    ],
+    "tk, route",
+    [((6, 4), route) for route in ("table", "direct", "closed", "partial")]
+    + [((3, 3), route) for route in ("table", "direct", "partial")],
+    ids=str,
 )
-def test_a_corrupted_class_fails_every_member_at_its_shift(
-    capsys, monkeypatch, module, name, corrupt, route, tk
-):
-    # One route's series for one (t, k) class is wrong at n = 30; each member
-    # of weighted total W reads it at n = 30 + W - W0, W0 the class's least,
-    # and the member of largest W reads it at n = n_max, the last n checked.
+def test_a_route_corrupted_for_one_class_fails_only_its_row(capsys, monkeypatch, tk, route):
+    # (6, 4) has k >= 4 and (3, 3), the spec (1,1,1), has t = k: the two
+    # kinds of class that a fixed grid of k = 2, 3 vectors would miss.
+    module, name, corrupt = ROUTES[route]
     real = getattr(module, name)
     wrong = corrupt(real)
     patched = lambda spec, *args: (wrong if (spec.total, spec.k) == tk else real)(spec, *args)
     monkeypatch.setattr(module, name, patched)
-    members = [DistanceSpec(d) for d in GRID if (sum(d), len(d)) == tk]
-    w0 = min(spec.weighted_total for spec in members)
-    n_max = 30 + max(spec.weighted_total for spec in members) - w0
-    code, out, _ = run(capsys, "verify", "--suite", "routes", "--t-max", "4", "--n-max", str(n_max))
+    code, out, _ = run(capsys, "verify", "--suite", "routes", "--t-max", "6", "--n-max", "60")
     assert code == EXIT_VERIFY_FAIL
-    failed = dict(line[5:].split(": ", 1) for line in out.splitlines() if line.startswith("FAIL "))
-    ids = {f"routes/specified/({','.join(map(str, s.distances))})": s for s in members}
-    assert set(failed) == set(ids)
-    for check_id, spec in ids.items():
-        prefix = f"routes disagree at n={30 + spec.weighted_total - w0}: "
-        assert failed[check_id].startswith(prefix)
-        values = dict(item.split("=") for item in failed[check_id][len(prefix) :].split(", "))
-        right = {int(v) for r, v in values.items() if r != route}
-        assert len(right) == 1 and int(values[route]) == right.pop() + 1
-    assert len({spec.weighted_total for spec in members}) > 1
+    assert _failed_rows(out, route) == [tk]
+    assert out.endswith("20/21 checks passed\n")
 
 
 def test_route_suite_builds_one_closed_form_core_per_class(capsys, monkeypatch):
-    # The 78 grid specs fall into 15 (t, k) classes, plus (t, 1) for t = 2..6:
-    # each route runs once per class, and a second run in the same process
-    # builds no core.
-    real, classes = genfun._alternating_sum, []
-    monkeypatch.setattr(genfun, "_alternating_sum", lambda t, k: classes.append((t, k)) or real(t, k))
+    # At t-max 6 there are 21 classes 1 <= k <= t <= 6, 15 of them with t > k
+    # and so a closed form: each route runs once per class it applies to, and
+    # a second run in the same process builds no core.
+    real, cores = genfun._alternating_sum, []
+    monkeypatch.setattr(genfun, "_alternating_sum", lambda t, k: cores.append((t, k)) or real(t, k))
     calls = {}
-    for module, name in (
-        (counting, "specified_table"),
-        (genfun, "direct_series_specified"),
-        (genfun, "closed_form_specified"),
-    ):
-        route, seen = getattr(module, name), calls.setdefault(name, [])
-        counted = lambda spec, *a, route=route, seen=seen: seen.append((spec.total, spec.k)) or route(spec, *a)
+    for route in ("table", "direct", "partial", "closed"):
+        module, name, _ = ROUTES[route]
+        route_fn, seen = getattr(module, name), calls.setdefault(route, [])
+        counted = lambda spec, *a, f=route_fn, seen=seen: seen.append((spec.total, spec.k)) or f(spec, *a)
         monkeypatch.setattr(module, name, counted)
-    expected = {(t, 1) for t in range(2, 7)} | {(sum(d), len(d)) for d in GRID}
-    assert len(expected) == 20
+    classes = [(t, k) for t in range(1, 7) for k in range(1, t + 1)]
+    closed = [(t, k) for t, k in classes if t > k]
+    assert (len(classes), len(closed)) == (21, 15)
     genfun._closed_core.cache_clear()
-    for built in (20, 0):
-        classes.clear()
+    for built in (15, 0):
+        cores.clear()
         for seen in calls.values():
             seen.clear()
         code, _, _ = run(capsys, "verify", "--suite", "routes", "--t-max", "6")
         assert code == EXIT_OK
-        assert len(classes) == len(set(classes)) == built
-        for seen in calls.values():
-            assert len(seen) == 20 and set(seen) == expected
+        assert sorted(cores) == (closed if built else [])
+        assert {route: sorted(seen) for route, seen in calls.items()} == {
+            "table": classes, "direct": classes, "partial": classes, "closed": closed,
+        }
 
 
 class TestFit:

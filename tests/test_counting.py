@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 from partition_gf import counting, genfun, qseries
-from partition_gf.cli import _specified_grid, main
+from partition_gf.cli import main
 from partition_gf.counting import (
     _count,
     _gauss_rows,
@@ -26,7 +26,7 @@ from partition_gf.qseries import (
     _multiply_by_one_minus_q_power,
     gauss_binomial,
 )
-from reference import iter_specified, multiset_sums, total_partition_count
+from reference import iter_specified, multiset_sums, specified_grid, total_partition_count
 
 # Frozen from an independent raw enumeration of all partitions (filtering by
 # largest-smallest difference / milestone membership), computed before this
@@ -223,10 +223,16 @@ class TestPackedSlots:
 
     def test_narrowed_direct_sum_fails_the_cli_route_check(self, capsys, monkeypatch):
         # `verify --suite routes` reads the direct sum beside the table and the
-        # closed form for every spec; genfun's width narrows only the direct sum.
+        # partial-fraction form in every row; genfun's width narrows only the
+        # direct sum.  Only the row t = k = 1 keeps every count below 2^8.
         monkeypatch.setattr(genfun, "_slot_bits", lambda n_max, t: 8)
         assert main(["verify", "--suite", "routes"]) == 1
-        assert "FAIL routes/specified/(2,2)" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("FAIL ")]
+        assert len(failed) == 20 and "PASS routes/t=1,k=1" in lines
+        for line in failed:
+            values = dict(item.split("=") for item in line.split(": ")[-1].split(", "))
+            assert values.pop("direct") not in set(values.values()) and len(set(values.values())) == 1
 
     def test_point_count_width_is_what_keeps_it_exact(self, capsys, monkeypatch):
         monkeypatch.setattr(counting, "_slot_bits", lambda n_max, t: 8)
@@ -302,7 +308,7 @@ class TestSplitCount:
         self._check_every_cut(spec, 3)
 
     def test_every_cut_on_the_grid_specs(self):
-        for spec in _specified_grid():
+        for spec in specified_grid():
             self._check_every_cut(spec, 13)
 
     @pytest.mark.parametrize(

@@ -35,6 +35,7 @@ from reference import (
     gauss_binomial_pascal,
     heine_check,
     iter_specified,
+    specified_grid,
     two_phi_one,
 )
 
@@ -200,7 +201,7 @@ class TestSeriesDispatch:
         assert built == [DistanceSpec((5,))]
 
 
-ROUTE_CHECK_SPECS = [*cli._specified_grid(), *((t,) for t in range(2, 13))]
+ROUTE_CHECK_SPECS = [*specified_grid(), *((t,) for t in range(2, 13))]
 
 
 def _refuse(name):

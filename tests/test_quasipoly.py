@@ -476,8 +476,11 @@ CLI_GOLDEN = {
         "b81fe6f3c9944a4ced08ce111286ce500150af0d17ef809ab1f90dca2756a856",
     ("series", "--distances", "1,2,1", "--order", "120"):
         "a289e8e6d1aceab1238f022b9668eb9b218c35be7e2dfec62b2260826b16e779",
+    # The routes golden and the `all` golden: one routes/t=..,k=.. row per
+    # class 1 <= k <= t <= t-max, which replaced the fixed-diff rows and the
+    # 78 grid rows; every other line of `all` is unchanged.
     ("verify", "--suite", "routes", "--t-max", "8", "--n-max", "150"):
-        "862c0d26454208734483ca2e34141038d368b21bfce2ee908bfa43686444b77d",
+        "a8e398297588590535ffc44c284cf7ed70acb6582ba9920843375f294cf4838c",
     # The three identities goldens: the earlier output with each
     # identities/heine/ id read as identities/core/, the core proof that
     # replaced the Heine check on the same (k, t) pairs, then with the 11
@@ -488,7 +491,7 @@ CLI_GOLDEN = {
     ("verify", "--suite", "identities", "--t-max", "12", "--order", "400"):
         "09da1aadb275211a9def25e025f3d55f408b25dca75b0f7177486e76c156b06f",
     ("verify", "--suite", "all"):
-        "54569bd5c50c277e917d7873f0afe236b21e9e41442ffaeef026225bb96dd41b",
+        "7aef2778fd2d1756f62ab14cdf29e74cf680069722305e2940727ea544acd31a",
     # captured before SequenceFixture became a NamedTuple and b-files one writer
     ("oeis",):
         "d392d7b2f58eb08f7810070408e9516ded367fb691693ab680f55b7b3aaccf91",
