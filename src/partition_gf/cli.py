@@ -155,7 +155,13 @@ def cmd_fit(args) -> int:
         ) from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    document = json.dumps(qp.to_json_dict(), indent=2)
+    # json.dumps(doc, indent=2)'s bytes without its pure-Python encoder; no "p/q" needs escaping.
+    doc = qp.to_json_dict()
+    rows = '"\n    ],\n    [\n      "'.join(map('",\n      "'.join, doc["rows"]))
+    document = (
+        f'{{\n  "period": {doc["period"]},\n  "degree": {doc["degree"]},\n'
+        f'  "rows": [\n    [\n      "{rows}"\n    ]\n  ]\n}}'
+    )
     leading = qp.leading_coefficient()
     summary = (
         f"period={qp.period} degree={qp.degree} "

@@ -30,6 +30,7 @@ from .errors import (
     NonConstantLeading,
     OutOfRange,
     PeriodTooLarge,
+    TooLarge,
 )
 from .counting import _coerce_spec
 from .genfun import closed_form_specified
@@ -37,6 +38,9 @@ from .genfun import closed_form_specified
 # The largest period fitted, lcm(1..12).  At t = 13 the period is 360360 and
 # the expansion order about 5.0M.
 MAX_PERIOD = 27720
+# The largest expansion order `from_closed_form` takes, about 2.7 times the
+# default order at the period cap, 27720 * 13 + W.
+MAX_ORDER = 10**6
 
 
 class QuasiPolynomial:
@@ -220,8 +224,8 @@ def required_order(spec) -> int:
 
 def from_closed_form(spec, order: int | None = None) -> QuasiPolynomial:
     """Expand the closed form for `spec` through q^order (default
-    `required_order(spec)`) and fit a quasipolynomial of degree t and period
-    lcm(1..t).
+    `required_order(spec)`, at most MAX_ORDER) and fit a quasipolynomial of
+    degree t and period lcm(1..t).
 
     The fit consumes the earliest samples of each residue class and validates
     against every remaining coefficient up to `order`; a failure would falsify
@@ -240,6 +244,8 @@ def from_closed_form(spec, order: int | None = None) -> QuasiPolynomial:
             f"order {order} cannot feed {t + 1} samples to every residue class "
             f"mod {period}; need >= {required}"
         )
+    elif order > MAX_ORDER:
+        raise TooLarge(f"order {order} is above the fit-order cap {MAX_ORDER}")
     return fit(closed_form_specified(spec).expand(order).coeffs, t, period)
 
 

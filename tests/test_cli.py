@@ -391,6 +391,45 @@ class TestFit:
         assert code == EXIT_USAGE
         assert "need >=" in err
 
+    # The one-pass writer against the json module's indented output, on
+    # stdout and in the --output file, at periods 2 to 420 and k = 1, 2, 3.
+    @pytest.mark.parametrize(
+        "distances, period",
+        [
+            ("2", 2), ("3", 6), ("1,2", 6), ("2,2", 12), ("1,1,2", 12),
+            ("5", 60), ("1,1,3", 60), ("7", 420), ("4,3", 420), ("2,3,2", 420),
+        ],
+    )
+    def test_document_is_the_json_modules_bytes(
+        self, capsys, tmp_path, monkeypatch, distances, period
+    ):
+        qp = quasipoly.from_closed_form(parse_distances(distances))
+        assert qp.period == period
+        want = json.dumps(qp.to_json_dict(), indent=2) + "\n"
+        real = quasipoly.QuasiPolynomial.to_json_dict
+        calls = []
+
+        def counted(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(quasipoly.QuasiPolynomial, "to_json_dict", counted)
+        assert run(capsys, "fit", "--distances", distances)[:2] == (EXIT_OK, want)
+        assert len(calls) == 1
+        target = tmp_path / "qp.json"
+        assert run(capsys, "fit", "--distances", distances, "--output", str(target))[0] == EXIT_OK
+        assert len(calls) == 2
+        assert target.read_bytes() == want.encode()
+
+    def test_order_above_the_cap_is_usage_error(self, capsys, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("expanded a closed form above the order cap")
+
+        monkeypatch.setattr(quasipoly, "closed_form_specified", refuse)
+        code, out, err = run(capsys, "fit", "--distances", "3", "--order", "1000001")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: order 1000001 is above the fit-order cap 1000000\n"
+
     def test_empty_output_is_usage_error(self, capsys):
         code, out, err = run(capsys, "fit", "--distances", "3", "--output", "")
         assert (code, out) == (EXIT_USAGE, "")

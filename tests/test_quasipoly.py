@@ -19,9 +19,11 @@ from partition_gf.errors import (
     NonConstantLeading,
     OutOfRange,
     PeriodTooLarge,
+    TooLarge,
 )
 from partition_gf.genfun import DistanceSpec, closed_form_fixed_diff, closed_form_specified
 from partition_gf.quasipoly import (
+    MAX_ORDER,
     MAX_PERIOD,
     QuasiPolynomial,
     expected_leading,
@@ -225,6 +227,28 @@ class TestFromClosedForm:
                 required_order(distances)
             with pytest.raises(PeriodTooLarge):
                 from_closed_form(distances, 10**7)
+
+    def test_order_cap_refuses_before_expanding(self, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("expanded a closed form above the order cap")
+
+        monkeypatch.setattr(quasipoly, "closed_form_specified", refuse)
+        assert MAX_ORDER == 10**6
+        assert required_order((12,)) * 2 < MAX_ORDER
+        for distances in [(2,), (2, 2), (12,), (1, 1, 10)]:
+            for order in [MAX_ORDER + 1, 10**30]:
+                with pytest.raises(TooLarge) as info:
+                    from_closed_form(distances, order)
+                assert type(info.value) is TooLarge
+                assert str(info.value) == f"order {order} is above the fit-order cap 1000000"
+
+    def test_order_cap_boundary(self, monkeypatch):
+        spec = DistanceSpec((3,))
+        cap = required_order(spec) + 6
+        monkeypatch.setattr(quasipoly, "MAX_ORDER", cap)
+        assert from_closed_form(spec, cap) == from_closed_form(spec)
+        with pytest.raises(TooLarge, match=f"^order {cap + 1} is above the fit-order cap {cap}$"):
+            from_closed_form(spec, cap + 1)
 
     def test_period_cap_stops_the_running_lcm(self, monkeypatch):
         # At t = 10**5, lcm(1..t) has over 43000 digits; the cap is checked
