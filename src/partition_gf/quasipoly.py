@@ -38,8 +38,8 @@ from .genfun import closed_form_specified
 # The largest period fitted, lcm(1..12).  At t = 13 the period is 360360 and
 # the expansion order about 5.0M.
 MAX_PERIOD = 27720
-# The largest expansion order `from_closed_form` takes, about 2.7 times the
-# default order at the period cap, 27720 * 13 + W.
+# The largest order `from_closed_form` expands to, in one list of order + 1
+# ints: about 2.7 times the default order at the period cap, 27720 * 13 + W.
 MAX_ORDER = 10**6
 
 
