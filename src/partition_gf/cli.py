@@ -58,21 +58,24 @@ def parse_distances(text: str) -> tuple[int, ...] | None:
     return tuple(values)
 
 
-def _compute_record(n: int, distances: tuple[int, ...] | None, method: str) -> OutputRecord:
-    if method == "enumerate":
-        if distances is None:
-            value = counting.divisor_count(n)
-        else:
-            value = counting.count_specified(n, distances)
-    elif method == "series":
-        value = genfun.series(distances, n)[n]
-    else:  # quasipoly
+def _methods(distances: tuple[int, ...] | None) -> dict:
+    """name -> (n -> value) for each method that applies, in the order `--method all` prints them."""
+    if distances is None:
+        return {"enumerate": counting.divisor_count}
+
+    def quasipoly_value(n: int) -> int:
         exact = quasipoly.from_closed_form(distances).evaluate(n)
         if exact.denominator != 1:
             raise PartitionGFError(f"quasipolynomial value at n={n} is not integral: {exact}")
-        value = exact.numerator
-    echo = distances if distances is not None else (0,)
-    return OutputRecord(n=n, distances=echo, method=method, value=str(value))
+        return exact.numerator
+
+    methods = {
+        "enumerate": lambda n: counting.count_specified(n, distances),
+        "series": lambda n: genfun.series(distances, n)[n],
+    }
+    if DistanceSpec(distances).has_closed_form:
+        methods["quasipoly"] = quasipoly_value
+    return methods
 
 
 def _emit_records(records: list[OutputRecord], fmt: str) -> None:
@@ -93,31 +96,23 @@ def cmd_compute(args) -> int:
     distances = parse_distances(args.distances)
     if args.n < 1:
         raise UsageError(f"n must be >= 1, got {args.n}")
-    applicable = ["enumerate"]
-    if distances is not None:
-        applicable.append("series")
-        spec = DistanceSpec(distances)
-        if spec.has_closed_form:
-            try:
-                quasipoly.required_order(spec)
-            except PeriodTooLarge:
-                if args.method == "quasipoly":
-                    raise
-            else:
-                applicable.append("quasipoly")
-    if args.method == "all":
-        methods = applicable
-    elif args.method in applicable:
-        methods = [args.method]
-    else:
-        raise UsageError(
-            f"method {args.method!r} does not apply to distances {args.distances!r} "
-            f"(applicable: {', '.join(applicable)})"
-        )
-    records = [_compute_record(args.n, distances, m) for m in methods]
+    methods = _methods(distances)
+    if args.method != "all":
+        if args.method not in methods:
+            raise UsageError(
+                f"method {args.method!r} does not apply to distances {args.distances!r} "
+                f"(applicable: {', '.join(methods)})"
+            )
+        methods = {args.method: methods[args.method]}
+    records = []
+    for method, value in methods.items():
+        try:
+            records.append(OutputRecord(args.n, distances or (0,), method, str(value(args.n))))
+        except PeriodTooLarge:  # `all` leaves out a quasipolynomial above the period cap
+            if args.method != "all":
+                raise
     _emit_records(records, args.format)
-    values = {r.value for r in records}
-    if len(values) > 1:
+    if len({r.value for r in records}) > 1:
         print("METHOD DISAGREEMENT", file=sys.stderr)
         return EXIT_VERIFY_FAIL
     return EXIT_OK
@@ -179,33 +174,21 @@ def cmd_fit(args) -> int:
 def _check_routes(t_max: int, n_max: int) -> list[tuple[str, bool, str]]:
     """One row `routes/t=..,k=..` per class 1 <= k <= t <= t_max, run on its member of
     least W, (1, ..., 1, t-k+1): a spec enters the series only through (t, k) and a
-    power of q.  Columns: the closed form where t > k, the direct sum, the table, the
-    partial-fraction form and, at k = 1 < t, the paper's displayed form; each must
+    power of q.  Columns: every route of `genfun.routes`, in its order; each must
     equal the table.  k = 1 rows run to n_max, the others to min(n_max, 120).
     Acceptance criterion 4 runs every route on every vector of a grid of specs."""
     results = []
     for t in range(1, t_max + 1):
         for k in range(1, t + 1):
             spec = DistanceSpec((1,) * (k - 1) + (t - k + 1,))
-            routes = _route_series(spec, n_max if k == 1 else min(n_max, 120))
-            ok = all(values == routes["table"] for values in routes.values())
-            results.append((f"routes/t={t},k={k}", ok, "" if ok else _disagreement(routes)))
+            order = n_max if k == 1 else min(n_max, 120)
+            columns = {name: route(order).coeffs for name, route in genfun.routes(spec).items()}
+            ok = all(values == columns["table"] for values in columns.values())
+            results.append((f"routes/t={t},k={k}", ok, "" if ok else _disagreement(columns)))
     return results
 
 
-def _route_series(spec: DistanceSpec, n_max: int) -> dict[str, list[int]]:
-    routes = {}
-    if spec.has_closed_form:
-        routes["closed"] = list(genfun.closed_form_specified(spec).expand(n_max).coeffs)
-    routes["direct"] = list(genfun.direct_series_specified(spec, n_max).coeffs)
-    routes["table"] = counting.specified_table(spec, n_max)
-    routes["partial"] = list(genfun.partial_fraction_series(spec, n_max).coeffs)
-    if spec.k == 1 and spec.has_closed_form:
-        routes["displayed"] = list(genfun.closed_form_fixed_diff(spec.total).expand(n_max).coeffs)
-    return routes
-
-
-def _disagreement(routes: dict[str, list[int]]) -> str:
+def _disagreement(routes: dict[str, tuple[int, ...]]) -> str:
     """The first n where the routes differ (called only when they do), with each value there."""
     columns = enumerate(itertools.zip_longest(*routes.values()))
     n, column = next((n, c) for n, c in columns if len(set(c)) > 1)

@@ -27,6 +27,10 @@ from typing import Sequence
 from .errors import InvalidDistance, TooLarge
 
 MAX_DIVISOR_N = 10**14  # trial division to sqrt(n): 10^7 steps there, about 0.8 s
+# The largest n or order of a route that holds O(n) coefficients: the point count,
+# `genfun.series` and the quasipolynomial fit's expansion (about 2.7 times its default
+# order at the period cap, 27720 * 13 + W).
+MAX_ORDER = 10**6
 
 
 def divisor_count(n: int) -> int:
@@ -208,6 +212,8 @@ def count_specified(n: int, spec) -> int:
     cbrt(n t), where the windows' work (n slots each) meets the rows' ((n/cut)^2 t slots)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > MAX_ORDER:
+        raise TooLarge(f"n={n} is above the point-count cap {MAX_ORDER}")
     spec = _coerce_spec(spec)
     t = spec.total
     return _count(n, spec, max(t, 1 << (n * t).bit_length() // 3))

@@ -12,10 +12,10 @@ Every generating function is available by routes that must agree:
 The closed form exists when the total distance t exceeds k (t > 1 for a
 fixed difference); at t = k the series is not rational.  It is
 P_spec = q^{W - C(k+1,2)} R_{t,k}, W the weighted total, and each R_{t,k} is
-built once per process.  `series` picks the route.  `closed_form_fixed_diff`
-is the paper's displayed form for one distance, kept as an independent check
-on `closed_form_specified`; `core_identity_check` proves each core R_{t,k}
-equal to the partial-fraction form's rational part.
+built once per process.  `routes` lists the routes that apply to a spec and
+`series` picks one.  `closed_form_fixed_diff`, the paper's displayed form for
+one distance, checks `closed_form_specified` independently; `core_identity_check`
+proves each core R_{t,k} equal to the partial-fraction form's rational part.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ import functools
 import math
 import operator
 
+from . import counting
 from .counting import DistanceSpec  # re-exported
-from .counting import _coerce_spec, _packed_divide, _slot_bits, _unpack, divisor_count, fixed_diff_table
-from .errors import OutOfRange
+from .counting import MAX_ORDER, _coerce_spec, _packed_divide, _slot_bits, _unpack, divisor_count, fixed_diff_table
+from .errors import OutOfRange, TooLarge
 from .qseries import (
     FactoredRational,
     TruncatedSeries,
@@ -169,17 +170,30 @@ def _partial_fraction_rational(t: int, k: int, lead: int, order: int) -> list[in
     return total
 
 
+def routes(spec) -> dict:
+    """name -> (order -> the series through q^order) for each route that applies to `spec`, in
+    `verify`'s column order.  A route looks its function up when it runs: a later patch holds."""
+    spec, listed = _coerce_spec(spec), {}
+    if spec.has_closed_form:
+        listed["closed"] = lambda order: closed_form_specified(spec).expand(order)
+    listed["direct"] = lambda order: direct_series_specified(spec, order)
+    listed["table"] = lambda order: TruncatedSeries(counting.specified_table(spec, order))
+    listed["partial"] = lambda order: partial_fraction_series(spec, order)
+    if spec.has_closed_form and spec.k == 1:
+        listed["displayed"] = lambda order: closed_form_fixed_diff(spec.total).expand(order)
+    return listed
+
+
 def series(spec, order: int) -> TruncatedSeries:
-    """The generating function for `spec` through q^order.  From order >= spec.min_weight,
-    the closed form where one exists from order C(t+1, 2), and at t = k the partial-fraction
-    form from order 100 t; below those the direct sum costs less.  Else the direct sum."""
+    """The generating function for `spec` through q^order <= MAX_ORDER, by one of its `routes`:
+    the closed form where t > k from order C(t+1, 2), the partial-fraction form at t = k from order
+    100 t, each from order spec.min_weight on; below those the direct sum costs less."""
     spec = _coerce_spec(spec)
-    t, first = spec.total, spec.min_weight
-    if spec.has_closed_form and order >= max(first, math.comb(t + 1, 2)):
-        return closed_form_specified(spec).expand(order)
-    if not spec.has_closed_form and order >= max(first, 100 * t):
-        return partial_fraction_series(spec, order)
-    return direct_series_specified(spec, order)
+    if order > MAX_ORDER:
+        raise TooLarge(f"order {order} is above the series-order cap {MAX_ORDER}")
+    rational, t = spec.has_closed_form, spec.total
+    turn = max(spec.min_weight, math.comb(t + 1, 2) if rational else 100 * t)
+    return routes(spec)["direct" if order < turn else "closed" if rational else "partial"](order)
 
 
 def _alternating_sum(t: int, k: int) -> list[int]:

@@ -32,15 +32,12 @@ from .errors import (
     PeriodTooLarge,
     TooLarge,
 )
-from .counting import _coerce_spec
+from .counting import MAX_ORDER, _coerce_spec
 from .genfun import closed_form_specified
 
 # The largest period fitted, lcm(1..12).  At t = 13 the period is 360360 and
 # the expansion order about 5.0M.
 MAX_PERIOD = 27720
-# The largest order `from_closed_form` expands to, in one list of order + 1
-# ints: about 2.7 times the default order at the period cap, 27720 * 13 + W.
-MAX_ORDER = 10**6
 
 
 class QuasiPolynomial:

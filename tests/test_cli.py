@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import shlex
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -80,6 +81,15 @@ class TestCompute:
             "100000000000000 = 10^14 (trial division)\n"
         )
 
+    # `all` leaves out only a quasipolynomial above the period cap; any other
+    # cap ends the command.
+    def test_all_at_difference_zero_above_the_divisor_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(counting, "math", SimpleNamespace(isqrt=None))
+        argv = ("compute", "--n", str(10**20), "--distances", "0", "--method", "all")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"error: n={10**20} is above the divisor-count cap ")
+
     def test_difference_three_value(self, capsys):
         code, out, _ = run(capsys, "compute", "--n", "12", "--distances", "3", "--method", "all")
         assert code == EXIT_OK
@@ -129,6 +139,32 @@ class TestCompute:
         code, out, _ = run(capsys, "compute", "--n", "12", "--distances", "0", "--method", "all")
         assert code == EXIT_OK
         assert out.strip().splitlines() == ["n=12 distances=0 method=enumerate value=6"]
+
+    @pytest.mark.parametrize(
+        "distances, method, applicable",
+        [("1", "quasipoly", "enumerate, series"), ("0", "series", "enumerate")],
+    )
+    def test_refusal_lists_the_applicable_methods(self, capsys, distances, method, applicable):
+        argv = ("compute", "--n", "9", "--distances", distances, "--method", method)
+        assert run(capsys, *argv) == (
+            EXIT_USAGE,
+            "",
+            f"error: method {method!r} does not apply to distances {distances!r} "
+            f"(applicable: {applicable})\n",
+        )
+
+    def test_all_prints_the_methods_in_order(self, capsys):
+        code, out, err = run(capsys, "compute", "--n", "11", "--distances", "2,2", "--method", "all")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines() == [
+            f"n=11 distances=2,2 method={method} value=2" for method in ("enumerate", "series", "quasipoly")
+        ]
+
+    def test_a_non_integral_quasipolynomial_value_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(quasipoly.QuasiPolynomial, "evaluate", lambda self, n: Fraction(1, 2))
+        code, out, err = run(capsys, "compute", "--n", "11", "--distances", "2,2", "--method", "quasipoly")
+        assert (code, out) == (EXIT_VERIFY_FAIL, "")
+        assert err == "error: quasipolynomial value at n=11 is not integral: 1/2\n"
 
 
 class TestSeries:
@@ -520,6 +556,45 @@ class TestPeriodCap:
         assert code == EXIT_OK
         assert out == f"n=5 distances={2**63} method=enumerate value=0\n"
         assert err == ""
+
+
+class TestOrderCaps:
+    """Above n or order 10^6 the point count and the series refuse before they
+    allocate: each exits 2 and names its cap."""
+
+    @pytest.fixture(autouse=True)
+    def no_allocation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("allocated above an order cap")
+
+        monkeypatch.setattr(counting, "_count", refuse)
+        for name in ("closed_form_specified", "direct_series_specified", "partial_fraction_series"):
+            monkeypatch.setattr(genfun, name, refuse)
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (
+                ("compute", "--n", str(10**20), "--distances", "5"),
+                f"error: n={10**20} is above the point-count cap 1000000\n",
+            ),
+            (
+                ("compute", "--n", str(10**20), "--distances", "5", "--method", "all"),
+                f"error: n={10**20} is above the point-count cap 1000000\n",
+            ),
+            (
+                ("compute", "--n", "1000001", "--distances", "1,1,1", "--method", "series"),
+                "error: order 1000001 is above the series-order cap 1000000\n",
+            ),
+            (
+                ("series", "--distances", "5", "--order", str(10**20)),
+                f"error: order {10**20} is above the series-order cap 1000000\n",
+            ),
+        ],
+        ids=["compute", "compute-all", "compute-series", "series"],
+    )
+    def test_refusal_is_usage_error(self, capsys, argv, err):
+        assert run(capsys, *argv) == (EXIT_USAGE, "", err)
 
 
 class TestOeisCommand:

@@ -390,6 +390,24 @@ class TestCountSpecified:
     def test_a_distance_past_a_machine_word(self, distances):
         assert count_specified(5, distances) == 0
 
+    def test_cap_is_checked_before_any_window(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("counted above the point-count cap")
+
+        monkeypatch.setattr(counting, "_count", refuse)
+        assert counting.MAX_ORDER == 10**6
+        for n in (counting.MAX_ORDER + 1, 10**20):
+            with pytest.raises(TooLarge) as info:
+                count_specified(n, (5,))
+            assert type(info.value) is TooLarge
+            assert str(info.value) == f"n={n} is above the point-count cap 1000000"
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(counting, "MAX_ORDER", 40)
+        assert count_specified(40, (2, 2)) == specified_table((2, 2), 40)[40]
+        with pytest.raises(TooLarge, match="^n=41 is above the point-count cap 40$"):
+            count_specified(41, (2, 2))
+
 
 class TestQueryDispatch:
     def test_difference_zero(self):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from partition_gf import cli, counting, genfun
 from partition_gf.counting import divisor_count, fixed_diff_table, specified_table
-from partition_gf.errors import InvalidDistance, InvalidExponent, OutOfRange
+from partition_gf.errors import InvalidDistance, InvalidExponent, OutOfRange, TooLarge
 from partition_gf.genfun import (
     DistanceSpec,
     closed_form_fixed_diff,
@@ -199,6 +199,84 @@ class TestSeriesDispatch:
         monkeypatch.setattr(genfun, "closed_form_specified", lambda spec: built.append(spec) or real(spec))
         assert list(series((5,), 2000).coeffs) == specified_table((5,), 2000)
         assert built == [DistanceSpec((5,))]
+
+    # t > k reads the closed form from order max(min_weight, C(t+1, 2)): (5,) from
+    # C(6, 2) = 15 (min_weight 7), (2, 1, 1) from its min_weight 13 (C(5, 2) = 10).
+    @pytest.mark.parametrize(
+        "distances, order, route",
+        [
+            ((5,), 14, "direct_series_specified"),
+            ((5,), 15, "closed_form_specified"),
+            ((2, 1, 1), 12, "direct_series_specified"),
+            ((2, 1, 1), 13, "closed_form_specified"),
+        ],
+    )
+    def test_closed_form_route_turns_at_its_threshold(self, distances, order, route, monkeypatch):
+        called = []
+
+        def spy(name):
+            real = getattr(genfun, name)
+            return lambda *args: called.append(name) or real(*args)
+
+        for name in ("closed_form_specified", "direct_series_specified", "partial_fraction_series"):
+            monkeypatch.setattr(genfun, name, spy(name))
+        assert list(series(distances, order).coeffs) == specified_table(distances, order)
+        assert called == [route]
+
+    def test_order_cap_is_checked_before_any_route(self, monkeypatch):
+        for name in ("closed_form_specified", "direct_series_specified", "partial_fraction_series"):
+            monkeypatch.setattr(genfun, name, _refuse(name))
+        assert genfun.MAX_ORDER is counting.MAX_ORDER
+        for distances in [(5,), (1, 1, 1), (600,)]:
+            for order in (counting.MAX_ORDER + 1, 10**20):
+                with pytest.raises(TooLarge) as info:
+                    series(distances, order)
+                assert type(info.value) is TooLarge
+                assert str(info.value) == f"order {order} is above the series-order cap 1000000"
+
+    def test_order_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(genfun, "MAX_ORDER", 40)
+        assert list(series((2, 2), 40).coeffs) == specified_table((2, 2), 40)
+        with pytest.raises(TooLarge, match="^order 41 is above the series-order cap 40$"):
+            series((2, 2), 41)
+
+
+# Each route of `genfun.routes` and the function it runs.
+ROUTE_FUNCTIONS = {
+    "closed": (genfun, "closed_form_specified"),
+    "direct": (genfun, "direct_series_specified"),
+    "table": (counting, "specified_table"),
+    "partial": (genfun, "partial_fraction_series"),
+    "displayed": (genfun, "closed_form_fixed_diff"),
+}
+
+
+class TestRoutes:
+    @pytest.mark.parametrize(
+        "distances, names",
+        [
+            ((3,), ["closed", "direct", "table", "partial", "displayed"]),
+            ((1,), ["direct", "table", "partial"]),
+            ((2, 2), ["closed", "direct", "table", "partial"]),
+            ((1, 1, 1), ["direct", "table", "partial"]),
+        ],
+    )
+    def test_every_route_that_applies_in_column_order(self, distances, names):
+        table = specified_table(distances, 60)
+        routes = genfun.routes(distances)
+        assert list(routes) == names
+        for route in routes.values():
+            assert list(route(60).coeffs) == table
+
+    # A route runs the function its module holds when it runs, not the one it
+    # held when `routes` was called: a patch made after the lookup is obeyed.
+    @pytest.mark.parametrize("name", list(ROUTE_FUNCTIONS))
+    def test_a_route_runs_the_function_patched_after_the_lookup(self, name, monkeypatch):
+        routes = genfun.routes((3,))
+        module, function = ROUTE_FUNCTIONS[name]
+        monkeypatch.setattr(module, function, _refuse(function))
+        with pytest.raises(AssertionError, match=f"^{function} called$"):
+            routes[name](30)
 
 
 ROUTE_CHECK_SPECS = [*specified_grid(), *((t,) for t in range(2, 13))]
