@@ -247,13 +247,15 @@ def _check_oeis(fixtures_dir, n_max: int) -> list[tuple[str, bool, str]]:
 
 
 def cmd_verify(args) -> int:
-    for option, value, least in (
-        ("--t-max", args.t_max, 2),
-        ("--n-max", args.n_max, 1),
-        ("--order", args.order, 1),
+    for option, value, least, capped in (
+        ("--t-max", args.t_max, 2, ()),
+        ("--n-max", args.n_max, 1, ("routes", "all")),
+        ("--order", args.order, 1, ("identities", "all")),
     ):
         if value < least:
             raise UsageError(f"{option} must be >= {least}, got {value}")
+        if args.suite in capped and value > counting.MAX_ORDER:  # before any suite runs
+            raise TooLarge(f"{option} {value} is above the series-order cap {counting.MAX_ORDER}")
     if args.suite in ("asymptotics", "all"):
         quasipoly.required_order((args.t_max,))  # the period cap, before any suite runs
     if args.suite in ("oeis", "all"):

@@ -99,8 +99,9 @@ def closed_form_specified(spec) -> FactoredRational:
         P_spec = q^{W - C(k+1,2)} R_{t,k},
         R_{t,k} = (-1)^k ( sum_{j=0}^{k} [t,j] (-1)^j q^{C(j+1,2)} - (q)_t ) / ( [t-1,k] (1-q^t) (q)_t )
 
-    R_{t,k} (`_closed_core`) is built and reduced once per process; the shift
-    is prepended to its numerator, as exact division by 1-q^m commutes with it.
+    The numerator is the tail (-1)^{k+1} sum_{j=k+1}^{t} [t,j] (-1)^j q^{C(j+1,2)}, as the full
+    sum is (q)_t by the finite q-binomial theorem.  R_{t,k} (`_closed_core`) is built and reduced
+    once per process; the shift is prepended to its numerator (exact division by 1-q^m commutes).
     """
     spec = _coerce_spec(spec)
     t, k = spec.total, spec.k
@@ -112,13 +113,15 @@ def closed_form_specified(spec) -> FactoredRational:
 
 @functools.cache
 def _closed_core(t: int, k: int) -> FactoredRational:
-    """R_{t,k}, reduced.  The Gaussian binomial in the denominator is cleared through
-    [t-1,k] = (q)_{t-1} / ((q)_k (q)_{t-1-k}): the complementary Pochhammers join the
-    numerator as one in-place (1-q^m) pass each, (q)_{t-1} joins the (1-q^m) denominator
-    multiset, and common factors are cancelled by exact division.  The rows [t,j] of the
-    sum are stepped from one to the next."""
-    partial, poch = _alternating_sum(t, k), pochhammer_q(t)
-    core = [(-1) ** k * (a - p) for a, p in zip(partial, poch)]  # of equal length
+    """R_{t,k}, reduced.  Its numerator is the q-binomial tail, one `gauss_binomial` row [t,j]
+    per term j = k+1..t.  The Gaussian binomial in the denominator is cleared through
+    [t-1,k] = (q)_{t-1} / ((q)_k (q)_{t-1-k}): the complementary Pochhammers join the numerator
+    as one in-place (1-q^m) pass each, (q)_{t-1} joins the (1-q^m) denominator multiset, and
+    common factors are cancelled by exact division."""
+    core = [0] * (math.comb(t + 1, 2) + 1)  # term j has degree C(j+1,2) + j(t-j) <= C(t+1,2)
+    for j in range(k + 1, t + 1):
+        for i, c in enumerate(gauss_binomial(t, j), math.comb(j + 1, 2)):
+            core[i] += (-1) ** (k + 1 + j) * c
     numerator = _times_one_minus_q_powers(core, [*range(1, k + 1), *range(1, t - k)])
     denominator = (
         [(m, 1) for m in range(1, t)]      # (q)_{t-1}
@@ -196,21 +199,6 @@ def series(spec, order: int) -> TruncatedSeries:
     return routes(spec)["direct" if order < turn else "closed" if rational else "partial"](order)
 
 
-def _alternating_sum(t: int, k: int) -> list[int]:
-    """sum_{j=0}^{k} [t,j] (-1)^j q^{C(j+1,2)} in a list as long as (q)_t's, which it equals at
-    k = t; row j > 0 is stepped by [t,j] = [t,j-1] (1-q^{t-j+1}) / (1-q^j).  [t,0] is read from
-    `gauss_binomial`: on perfbench's qp-fit workload no other call of it runs, and
-    `perfbench/selftest.py` needs each `qseries.poly_kernels.*` metric above 0 there."""
-    out = [0] * (math.comb(t + 1, 2) + 1)  # term j has degree jt - C(j,2) <= C(t+1,2)
-    row = gauss_binomial(t, 0)
-    for j in range(k + 1):
-        if j:
-            row = _times_ratio(row, t - j + 1, j)
-        for i, c in enumerate(row, math.comb(j + 1, 2)):
-            out[i] += (-1) ** j * c
-    return out
-
-
 def p1_identity_check(order: int) -> bool:
     """Check three routes to the difference-1 series q/(1-q)^2 - sum_n d(n) q^n through
     q^order: the packed nest over the smallest part, list passes plus the divisor sieve
@@ -227,10 +215,11 @@ def core_identity_check(t: int, k: int) -> bool:
     rational with integer coefficients, so agreement through q^M, M = max(deg N1 + deg D2,
     deg N2 + deg D1), makes them equal: N1 D2 - N2 D1 has degree <= M and vanishes mod
     q^{M+1} (Zeilberger, "The C-finite ansatz", Ramanujan J. 31, 2013).  The term j of
-    q^m q^W S_m (q)_t / (1-q^m) has degree W + C(j,2) - kj + j(t-j) + C(t+1,2) at most."""
+    q^m q^W S_m (q)_t / (1-q^m) has degree W + C(j,2) - kj + j(t-j) + C(t+1,2) at most, so
+    deg N2 <= W + C(t-k,2) + C(t+1,2), the bound at j = t-k."""
     if not 1 <= k < t:
         raise OutOfRange(f"a core needs 1 <= k < t, got t={t}, k={k}")
     core, lead = _closed_core(t, k), math.comb(k + 1, 2)
-    top = lead + math.comb(t + 1, 2) + max(math.comb(j, 2) - k * j + j * (t - j) for j in range(1, t + 1))
+    top = lead + math.comb(t + 1, 2) + math.comb(t - k, 2)
     order = max(len(core.numerator) - 1 + t * (t + 1), top + sum(m * e for m, e in core.denominator))
     return list(core.expand(order).coeffs) == _partial_fraction_rational(t, k, lead, order)

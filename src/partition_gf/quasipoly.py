@@ -126,8 +126,11 @@ class QuasiPolynomial:
             rows = [[Fraction(entry) for entry in row] for row in data["rows"]]
             d = math.lcm(*(c.denominator for c in chain.from_iterable(rows)))
             rows = tuple(tuple(c.numerator * d // c.denominator for c in row) for row in rows)
-            return cls(int(data["period"]), int(data["degree"]), rows, d)
-        except (KeyError, TypeError) as exc:  # a missing key, a non-list, a None entry
+            period, degree = data["period"], data["degree"]
+            if not type(period) is type(degree) is int:  # not truncated: 2.9, "2", True refused
+                raise TypeError(f"period and degree must be integers, got {period!r}, {degree!r}")
+            return cls(period, degree, rows, d)
+        except (KeyError, TypeError) as exc:  # a missing key, a non-list, a None entry, a non-int
             raise ValueError(f"malformed document: {exc!r}") from exc
         except ZeroDivisionError as exc:
             raise ValueError("a coefficient has denominator 0") from exc

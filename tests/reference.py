@@ -1,7 +1,8 @@
 """Reference computations that only the tests read: the counted partitions
 listed one by one, the unrestricted partition numbers, Gaussian binomials by
 the q-Pascal recurrence, the paper's difference-3 and distance-(2,2) case
-tables as quasipolynomials, the closed form built for one spec, against which
+tables as quasipolynomials, the alternating q-binomial sum of the closed
+forms, the closed form built for one spec, against which
 genfun's shared (t, k) cores are checked, a grid of 78 distance vectors on
 which the tests run every route, and Heine's transformation of basic
 hypergeometric series, a check of the qseries (1-q^m) passes that no route of
@@ -15,7 +16,6 @@ from typing import Iterator, Sequence
 
 from partition_gf.counting import _coerce_spec
 from partition_gf.errors import InvalidExponent
-from partition_gf.genfun import _alternating_sum
 from partition_gf.qseries import (
     FactoredRational,
     _divide_by_one_minus_q_power,
@@ -91,6 +91,16 @@ def iter_specified(n: int, spec) -> Iterator[tuple[int, ...]]:
         s += 1
 
 
+def alternating_sum(t: int, js, row=gauss_binomial_pascal) -> list[int]:
+    """sum_{j in js} [t,j] (-1)^j q^{C(j+1,2)} at the length C(t+1,2) + 1 of (q)_t, which the sum
+    over j = 0..t equals (the finite q-binomial theorem); each row [t,j] is read from `row`."""
+    out = [0] * (math.comb(t + 1, 2) + 1)  # term j has degree C(j+1,2) + j(t-j) <= C(t+1,2)
+    for j in js:
+        for i, c in enumerate(row(t, j), math.comb(j + 1, 2)):
+            out[i] += (-1) ** j * c
+    return out
+
+
 def p3_quasipolynomial() -> QuasiPolynomial:
     """The difference-3 case table as a QuasiPolynomial (period 6, degree 3)."""
     return QuasiPolynomial(6, 3, tuple(_P3_CASES[r] for r in range(6)), 108)
@@ -104,10 +114,12 @@ def p22_quasipolynomial() -> QuasiPolynomial:
 def closed_form_specified_one_spec(spec) -> FactoredRational:
     """`genfun.closed_form_specified` built for this one spec, the shift
     q^{W - C(k+1,2)} applied to the numerator before the (1-q^m) passes and
-    the reduction, with no form shared between specs."""
+    the reduction, with no form shared between specs.  The numerator is the
+    paper's literal prefix sum over j <= k less (q)_t, from q-Pascal rows,
+    where `genfun` sums the tail over j > k."""
     spec = _coerce_spec(spec)
     t, k = spec.total, spec.k
-    partial, poch = _alternating_sum(t, k), pochhammer_q(t)
+    partial, poch = alternating_sum(t, range(k + 1)), pochhammer_q(t)
     core = [(-1) ** k * (a - p) for a, p in zip(partial, poch)]
     lead_exp = spec.weighted_total - math.comb(k + 1, 2)
     numerator = _times_one_minus_q_powers([0] * lead_exp + core, [*range(1, k + 1), *range(1, t - k)])

@@ -282,6 +282,46 @@ class TestVerify:
         assert out == ""
         assert err.startswith(f"error: {argv[2]} must be >= ")
 
+    # The series-order cap binds --n-max where the routes suite runs and --order where the
+    # identities suite runs, before any suite does.  The cap is patched down to 120, the
+    # default --n-max, so that the values on each side of it run small.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--suite", "routes", "--n-max", "121"),
+            ("--suite", "identities", "--order", "121"),
+            ("--suite", "all", "--n-max", "121"),
+            ("--suite", "all", "--order", "121"),
+            ("--suite", "routes", "--n-max", str(10**20)),
+        ],
+    )
+    def test_a_series_order_above_the_cap_is_refused(self, capsys, monkeypatch, argv):
+        def refuse(*args):
+            raise AssertionError("ran a suite above the series-order cap")
+
+        monkeypatch.setattr(counting, "MAX_ORDER", 120)
+        for name in ("routes", "core_identity_check", "p1_identity_check"):
+            monkeypatch.setattr(genfun, name, refuse)
+        monkeypatch.setattr(quasipoly, "from_closed_form", refuse)
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: {argv[2]} {argv[3]} is above the series-order cap 120\n"
+
+    @pytest.mark.parametrize(
+        "argv, checks",
+        [
+            (("--suite", "routes", "--t-max", "2", "--n-max", "120", "--order", "121"), 3),
+            (("--suite", "identities", "--t-max", "2", "--n-max", "121", "--order", "60"), 2),
+            (("--suite", "asymptotics", "--t-max", "2", "--n-max", "121", "--order", "121"), 1),
+            (("--suite", "oeis", "--n-max", str(10**20)), 4),
+        ],
+    )
+    def test_options_a_suite_does_not_read_are_not_capped(self, capsys, monkeypatch, argv, checks):
+        monkeypatch.setattr(counting, "MAX_ORDER", 120)
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == EXIT_OK
+        assert out.endswith(f"{checks}/{checks} checks passed\n")
+
 
 def _bumped(coeffs):
     coeffs = list(coeffs)
@@ -370,8 +410,6 @@ def test_route_suite_builds_one_closed_form_core_per_class(capsys, monkeypatch):
     # At t-max 6 there are 21 classes 1 <= k <= t <= 6, 15 of them with t > k
     # and so a closed form: each route runs once per class it applies to, and
     # a second run in the same process builds no core.
-    real, cores = genfun._alternating_sum, []
-    monkeypatch.setattr(genfun, "_alternating_sum", lambda t, k: cores.append((t, k)) or real(t, k))
     calls = {}
     for route in ("table", "direct", "partial", "closed"):
         module, name, _ = ROUTES[route]
@@ -382,13 +420,12 @@ def test_route_suite_builds_one_closed_form_core_per_class(capsys, monkeypatch):
     closed = [(t, k) for t, k in classes if t > k]
     assert (len(classes), len(closed)) == (21, 15)
     genfun._closed_core.cache_clear()
-    for built in (15, 0):
-        cores.clear()
+    for _ in range(2):
         for seen in calls.values():
             seen.clear()
         code, _, _ = run(capsys, "verify", "--suite", "routes", "--t-max", "6")
         assert code == EXIT_OK
-        assert sorted(cores) == (closed if built else [])
+        assert genfun._closed_core.cache_info().misses == len(closed)
         assert {route: sorted(seen) for route, seen in calls.items()} == {
             "table": classes, "direct": classes, "partial": classes, "closed": closed,
         }

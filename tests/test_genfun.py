@@ -427,44 +427,52 @@ class TestClosedFormSpecified:
             closed_form_specified((0, 2))
 
 
+CORE_PAIRS = [(t, k) for t in range(2, 13) for k in range(1, t)]
+
+
 class TestQBinomialAlternatingSum:
-    # The finite q-binomial theorem: the closed forms' sum run to j = k = t is (q)_t,
-    # of degree C(t+1, 2), the length the sum is built at.
+    # The finite q-binomial theorem: sum_{j=0}^{t} [t,j] (-1)^j q^{C(j+1,2)} = (q)_t, of degree
+    # C(t+1, 2).  So the paper's core numerator, the prefix over j <= k less (q)_t, is the tail
+    # over j > k that `_closed_core` sums from `gauss_binomial` rows.
     @pytest.mark.parametrize("t", range(11))
     def test_full_sum_is_pochhammer(self, t):
-        assert tuple(genfun._alternating_sum(t, t)) == pochhammer_q(t)
-
-    def test_empty_prefix_case(self):
-        assert genfun._alternating_sum(0, 0) == [1]
+        assert tuple(reference.alternating_sum(t, range(t + 1), gauss_binomial)) == pochhammer_q(t)
 
     @pytest.mark.parametrize("t", range(2, 9))
     def test_tail_from_two(self, t):
-        # sum_{j=2}^{t} = (q)_t - 1 + q [t,1]: the full sum less the partial
-        # sum through j = 1, the kind `closed_form_specified` stops at j = k
-        tail = genfun._alternating_sum(t, t)
-        for i, c in enumerate(genfun._alternating_sum(t, 1)):
-            tail[i] -= c
+        # sum_{j=2}^{t} = (q)_t - 1 + q [t,1], the tail of the core at k = 1
         expected = [0, *pochhammer_q(t)[1:]]
-        for i, c in enumerate(gauss_binomial(t, 1), 1):
+        for i, c in enumerate(gauss_binomial_pascal(t, 1), 1):
             expected[i] += c
-        assert tail == expected
+        assert reference.alternating_sum(t, range(2, t + 1), gauss_binomial) == expected
 
     @pytest.mark.parametrize("t", range(11))
     def test_every_prefix_matches_pascal_rows(self, t):
-        # Each prefix j <= k the closed forms stop at, coefficient by
-        # coefficient from q-Pascal rows, which share no kernel with the
-        # stepped rows of the sum.
-        rows = [gauss_binomial_pascal(t, j) for j in range(t + 1)]
+        # Each prefix j <= k from q-Pascal rows, which share no kernel with
+        # `gauss_binomial`, completed by the tail j > k from `gauss_binomial` rows.
         for k in range(t + 1):
-            expected = [
-                sum(
-                    (-1) ** j * rows[j][n - math.comb(j + 1, 2)]
-                    for j in range(k + 1)
-                    if 0 <= n - math.comb(j + 1, 2) < len(rows[j])
-                )
-                for n in range(math.comb(t + 1, 2) + 1)
-            ]
-            assert genfun._alternating_sum(t, k) == expected
+            prefix = reference.alternating_sum(t, range(k + 1))
+            tail = reference.alternating_sum(t, range(k + 1, t + 1), gauss_binomial)
+            assert tuple(a + b for a, b in zip(prefix, tail)) == pochhammer_q(t)
+
+    @pytest.mark.parametrize("t, k", [(2, 1), (5, 2), (9, 4), (12, 11)])
+    def test_a_core_reads_one_gauss_binomial_row_per_tail_term(self, t, k, monkeypatch, fresh_cores):
+        rows, real = [], gauss_binomial
+        monkeypatch.setattr(genfun, "gauss_binomial", lambda top, j: rows.append((top, j)) or real(top, j))
+        genfun._closed_core(t, k)
+        assert rows == [(t, j) for j in range(k + 1, t + 1)]
+
+    @pytest.mark.parametrize("t, k", CORE_PAIRS)
+    def test_every_core_is_its_pascal_tail_over_the_full_denominator(self, t, k):
+        # The reduced core N/D against (-1)^{k+1} tail (q)_k (q)_{t-1-k} / ((q)_{t-1} (1-q^t) (q)_t)
+        # with the tail from q-Pascal rows: the two are equal when the cross products are.
+        core = genfun._closed_core(t, k)
+        tail = [(-1) ** (k + 1) * c for c in reference.alternating_sum(t, range(k + 1, t + 1))]
+        numerator = _times_one_minus_q_powers(tail, [*range(1, k + 1), *range(1, t - k)])
+        core_factors = [m for m, e in core.denominator for _ in range(e)]
+        assert FactoredRational(_times_one_minus_q_powers(numerator, core_factors)) == FactoredRational(
+            _times_one_minus_q_powers(core.numerator, [*range(1, t), t, *range(1, t + 1)])
+        )
 
 
 @pytest.mark.parametrize("t", range(9))
@@ -493,9 +501,6 @@ class TestP1Identity:
         assert "FAIL identities/p1/order=60" in capsys.readouterr().out.splitlines()
 
 
-CORE_PAIRS = [(t, k) for t in range(2, 13) for k in range(1, t)]
-
-
 @pytest.fixture
 def fresh_cores():
     """Clear the per-process core cache around a test that corrupts how cores are built."""
@@ -515,19 +520,8 @@ def _reduce_keeping_one_more(self, real=FactoredRational.reduce):
     return FactoredRational(reduced.numerator, [*reduced.denominator, (1, 1)])
 
 
-def _gauss_binomial_doubled_at_zero(top, bottom, real=gauss_binomial):
-    return (2,) if bottom == 0 else real(top, bottom)
-
-
-def _alternating_sum_off_by_one(t, k, real=genfun._alternating_sum):
-    out = real(t, k)
-    out[-1] += 1
-    return out
-
-
-def _pochhammer_top_plus_one(t, real=pochhammer_q):
-    poch = real(t)
-    return (*poch[:-1], poch[-1] + 1)
+def _gauss_binomial_doubled_at_top(top, bottom, real=gauss_binomial):
+    return (2,) if bottom == top else real(top, bottom)
 
 
 class TestCoreIdentity:
@@ -545,20 +539,32 @@ class TestCoreIdentity:
     @pytest.mark.parametrize(
         "target, name, corrupt",
         [
-            (genfun, "_alternating_sum", _alternating_sum_off_by_one),
-            (genfun, "gauss_binomial", _gauss_binomial_doubled_at_zero),
-            (genfun, "pochhammer_q", _pochhammer_top_plus_one),
+            (genfun, "gauss_binomial", _gauss_binomial_doubled_at_top),
             (FactoredRational, "reduce", _reduce_keeping_one_more),
             (genfun, "_closed_core", _top_plus_one),
         ],
-        ids=[
-            "alternating-sum", "gauss-binomial-t-0", "pochhammer-top-plus-one",
-            "reduce-keeps-1-q", "numerator-top-plus-one",
-        ],
+        ids=["gauss-binomial-t-t", "reduce-keeps-1-q", "numerator-top-plus-one"],
     )
     def test_a_corrupted_core_fails_every_pair(self, target, name, corrupt, monkeypatch, fresh_cores):
         monkeypatch.setattr(target, name, corrupt)
         assert [pair for pair in CORE_PAIRS if core_identity_check(*pair)] == []
+
+    @pytest.mark.parametrize("t, k", CORE_PAIRS)
+    def test_the_proof_order_covers_the_measured_degrees(self, t, k, monkeypatch):
+        # M against the degrees read off the two forms, not from the formula M is built by:
+        # N2 is (q)_t^2 times the rational part, expanded to 2M + 10.  M has no slack here: it
+        # is deg N1 + deg D2 on every pair, so M - 1 fails them all.
+        orders, real = [], genfun._partial_fraction_rational
+        monkeypatch.setattr(
+            genfun, "_partial_fraction_rational", lambda *a: orders.append(a[-1]) or real(*a)
+        )
+        assert core_identity_check(t, k)
+        (order,), core = orders, genfun._closed_core(t, k)
+        rational = real(t, k, math.comb(k + 1, 2), 2 * order + 10)
+        n2 = _times_one_minus_q_powers(rational, [*range(1, t + 1)] * 2)[: 2 * order + 11]
+        deg_n1, deg_d1 = len(core.numerator) - 1, sum(m * e for m, e in core.denominator)
+        deg_n2 = max(i for i, c in enumerate(n2) if c)
+        assert order >= max(deg_n1 + t * (t + 1), deg_n2 + deg_d1)
 
     def test_a_flipped_row_in_the_partial_fraction_form_fails_every_pair(self, monkeypatch):
         _mutate(monkeypatch, "_partial_fraction_rational", *J2_SIGN_FLIP)

@@ -414,10 +414,27 @@ class TestSerialization:
                 {"period": 2, "degree": 1, "rows": [["0", None], ["0", "1"]]},
                 r"malformed document: TypeError\(.+\)",
             ),
+            (
+                {"period": 2.9, "degree": 1.5, "rows": [["0", "1/2"], ["0", "1"]]},
+                r"malformed document: TypeError\('period and degree must be integers, got 2.9, 1.5'\)",
+            ),
+            (
+                {"period": 2, "degree": 1.0, "rows": [["0", "1/2"], ["0", "1"]]},
+                r"malformed document: TypeError\('period and degree must be integers, got 2, 1.0'\)",
+            ),
+            (
+                {"period": "2", "degree": 1, "rows": [["0", "1/2"], ["0", "1"]]},
+                r"malformed document: TypeError\(\"period and degree must be integers, got '2', 1\"\)",
+            ),
+            (
+                {"period": True, "degree": 1, "rows": [["0", "1/2"]]},
+                r"malformed document: TypeError\('period and degree must be integers, got True, 1'\)",
+            ),
         ],
         ids=[
             "too-few-rows", "short-row", "zero-denominator", "not-a-number",
             "no-rows", "no-period", "rows-not-a-list", "none-entry",
+            "float-period-and-degree", "float-degree", "string-period", "bool-period",
         ],
     )
     def test_malformed_document_is_rejected(self, document, message):
@@ -509,7 +526,8 @@ CLI_GOLDEN = {
     # identities/heine/ id read as identities/core/, the core proof that
     # replaced the Heine check on the same (k, t) pairs, then with the 11
     # identities/q-binomial/t=0..10 lines removed and the N/N total lowered
-    # by 11 (the q-binomial theorem is now a test of `_alternating_sum`).
+    # by 11 (the q-binomial theorem is now a tier-1 test of the closed forms'
+    # alternating sum).
     ("verify", "--suite", "identities", "--t-max", "8", "--order", "200"):
         "e0c99a1105797f62f109c600ed3b5fe6a70549b7582386f46e8d9e3e016b27aa",
     ("verify", "--suite", "identities", "--t-max", "12", "--order", "400"):
