@@ -15,12 +15,13 @@ import argparse
 import itertools
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
 from . import counting, genfun, oeis, quasipoly
 from .counting import DistanceSpec
-from .errors import NetworkError, NotFound, OutOfRange, PartitionGFError, PeriodTooLarge, TooLarge
+from .errors import NetworkError, NotFound, OutOfRange, PartitionGFError, TooLarge
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -62,19 +63,12 @@ def _methods(distances: tuple[int, ...] | None) -> dict:
     """name -> (n -> value) for each method that applies, in the order `--method all` prints them."""
     if distances is None:
         return {"enumerate": counting.divisor_count}
-
-    def quasipoly_value(n: int) -> int:
-        exact = quasipoly.from_closed_form(distances).evaluate(n)
-        if exact.denominator != 1:
-            raise PartitionGFError(f"quasipolynomial value at n={n} is not integral: {exact}")
-        return exact.numerator
-
     methods = {
         "enumerate": lambda n: counting.count_specified(n, distances),
         "series": lambda n: genfun.series(distances, n)[n],
     }
     if DistanceSpec(distances).has_closed_form:
-        methods["quasipoly"] = quasipoly_value
+        methods["quasipoly"] = lambda n: quasipoly.from_closed_form(distances).count(n)
     return methods
 
 
@@ -104,13 +98,14 @@ def cmd_compute(args) -> int:
                 f"(applicable: {', '.join(methods)})"
             )
         methods = {args.method: methods[args.method]}
-    records = []
+    records, capped = [], []
     for method, value in methods.items():
         try:
             records.append(OutputRecord(args.n, distances or (0,), method, str(value(args.n))))
-        except PeriodTooLarge:  # `all` leaves out a quasipolynomial above the period cap
-            if args.method != "all":
-                raise
+        except TooLarge as exc:  # `all` leaves out a capped route
+            capped.append(exc)
+    if not records:
+        raise capped[0]
     _emit_records(records, args.format)
     if len({r.value for r in records}) > 1:
         print("METHOD DISAGREEMENT", file=sys.stderr)
@@ -202,13 +197,29 @@ def _check_identities(t_max: int, order: int) -> list[tuple[str, bool, str]]:
 
 
 def _check_asymptotics(t_max: int) -> list[tuple[str, bool, str]]:
-    results = []
+    """The leading coefficient of each fit (t,), 2 <= t <= t_max, and each displayed
+    quasipolynomial of total t <= t_max against its fit, row by row."""
+    results, fits = [], {}
     for t in range(2, t_max + 1):
-        got = quasipoly.from_closed_form((t,)).leading_coefficient()
-        want = quasipoly.expected_leading(t)
+        fits[(t,)] = qp = quasipoly.from_closed_form((t,))
+        got, want = qp.leading_coefficient(), quasipoly.expected_leading(t)
         detail = "" if got == want else f"leading {got} != {want}"
         results.append((f"asymptotics/leading/t={t}", got == want, detail))
+    for spec, displayed in quasipoly.DISPLAYED.items():
+        if sum(spec) <= t_max:
+            qp = fits.get(spec) or quasipoly.from_closed_form(spec)
+            detail = "" if qp == displayed else _row_apart(qp, displayed)
+            results.append((f"asymptotics/displayed/distances={','.join(map(str, spec))}", not detail, detail))
     return results
+
+
+def _row_apart(fit, displayed) -> str:
+    """The first residue class where two unequal quasipolynomials differ, each row shown
+    as its numerators over its denominator."""
+    rows = ([[Fraction(c, q.denominator) for c in row] for row in q.rows] for q in (fit, displayed))
+    r = next(r for r, (a, b) in enumerate(itertools.zip_longest(*rows)) if a != b)
+    show = lambda q: f"{q.rows[r]}/{q.denominator}" if r < q.period else "no row"
+    return f"row {r}: fit {show(fit)} != displayed {show(displayed)}"
 
 
 def _note_clip(sequence_id: str, n_max: int, last_n: int) -> None:

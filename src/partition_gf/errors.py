@@ -45,10 +45,6 @@ class NonConstantLeading(PartitionGFError):
     """Residue classes disagree on the top-degree coefficient."""
 
 
-class InternalMismatch(PartitionGFError):
-    """Two formulas that must agree evaluated to different values."""
-
-
 class NotFound(PartitionGFError):
     """A requested fixture file does not exist."""
 

@@ -1,6 +1,6 @@
 """Quasipolynomials with exact rational coefficients: evaluation, exact
 interpolation from a coefficient list, fits driven by the closed-form series,
-and the explicit residue-class formulas for difference 3 and distances (2,2).
+and the paper's displayed quasipolynomials for difference 3 and distances (2,2).
 
 A quasipolynomial of period P and degree d keeps one row of d+1 integer
 numerators per residue class mod P over one common denominator; evaluation
@@ -26,7 +26,6 @@ from .errors import (
     InconsistentSamples,
     InsufficientSamples,
     InternalError,
-    InternalMismatch,
     NonConstantLeading,
     OutOfRange,
     PeriodTooLarge,
@@ -96,6 +95,13 @@ class QuasiPolynomial:
             acc = acc * n + c
         return Fraction(acc, self.denominator)
 
+    def count(self, n: int) -> int:
+        """The value at n >= 1, which as a count must be an integer."""
+        value = self.evaluate(n)
+        if value.denominator != 1:
+            raise InternalError(f"quasipolynomial value at n={n} is not integral: {value}")
+        return value.numerator
+
     def leading_coefficient(self) -> Fraction:
         """The degree-d coefficient, required to be identical in every row."""
         leads = {row[self.degree] for row in self.rows}
@@ -123,6 +129,9 @@ class QuasiPolynomial:
     @classmethod
     def from_json_dict(cls, data: dict) -> QuasiPolynomial:
         try:
+            for entry in chain.from_iterable(data["rows"]):
+                if type(entry) is not str:  # 0.1 loads as 3602879701896397/36028797018963968
+                    raise TypeError(f"coefficients must be strings, got {entry!r}")
             rows = [[Fraction(entry) for entry in row] for row in data["rows"]]
             d = math.lcm(*(c.denominator for c in chain.from_iterable(rows)))
             rows = tuple(tuple(c.numerator * d // c.denominator for c in row) for row in rows)
@@ -130,7 +139,7 @@ class QuasiPolynomial:
             if not type(period) is type(degree) is int:  # not truncated: 2.9, "2", True refused
                 raise TypeError(f"period and degree must be integers, got {period!r}, {degree!r}")
             return cls(period, degree, rows, d)
-        except (KeyError, TypeError) as exc:  # a missing key, a non-list, a None entry, a non-int
+        except (KeyError, TypeError) as exc:  # a missing key, a non-list, a non-str entry, a non-int
             raise ValueError(f"malformed document: {exc!r}") from exc
         except ZeroDivisionError as exc:
             raise ValueError("a coefficient has denominator 0") from exc
@@ -256,23 +265,33 @@ def expected_leading(t: int) -> Fraction:
     return Fraction(1, t * math.factorial(t) ** 2)
 
 
-# Residue-class numerators over 108 for the difference-3 counting function.
-_P3_CASES = {
-    0: (0, -18, 0, 1),
-    1: (2, -3, 0, 1),
-    2: (52, -30, 0, 1),
-    3: (-54, 9, 0, 1),
-    4: (56, -30, 0, 1),
-    5: (-2, -3, 0, 1),
+# The paper's displayed quasipolynomials: p(n,3), period 6, numerators over
+# 108, and p(n,2,2), period 12, over 6912; row r holds the numerators of
+# n^0 .. n^t for n == r (mod period).
+DISPLAYED = {
+    (3,): QuasiPolynomial(6, 3, (
+        (0, -18, 0, 1),
+        (2, -3, 0, 1),
+        (52, -30, 0, 1),
+        (-54, 9, 0, 1),
+        (56, -30, 0, 1),
+        (-2, -3, 0, 1),
+    ), 108),
+    (2, 2): QuasiPolynomial(12, 4, (
+        (0, 288, -24, -20, 3),
+        (-397, 492, -78, -20, 3),
+        (304, -48, -24, -20, 3),
+        (-2781, 1260, -78, -20, 3),
+        (2816, -480, -24, -20, 3),
+        (115, 492, -78, -20, 3),
+        (-3024, 720, -24, -20, 3),
+        (35, 492, -78, -20, 3),
+        (3328, -480, -24, -20, 3),
+        (-3213, 1260, -78, -20, 3),
+        (-208, -48, -24, -20, 3),
+        (547, 492, -78, -20, 3),
+    ), 6912),
 }
-
-
-def _p3_polynomial_form(n: int) -> int:
-    c0, c1, c2, c3 = _P3_CASES[n % 6]
-    value, rem = divmod(n**3 * c3 + n**2 * c2 + n * c1 + c0, 108)
-    if rem:
-        raise InternalError(f"difference-3 case value at n={n} is not divisible by 108")
-    return value
 
 
 def _p3_factored_form(n: int) -> int:
@@ -294,44 +313,17 @@ def _p3_factored_form(n: int) -> int:
 def p3_explicit(n: int) -> int:
     """p(n,3) from the explicit residue formulas, in both shapes.
 
-    Evaluates the cubic-over-108 cases and the factored cases independently
-    and insists they agree, guarding the coefficient tables against
-    transcription drift.
+    Evaluates the displayed cubic over 108 and the factored cases
+    independently and insists they agree, guarding the coefficient table
+    against transcription drift.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    polynomial = _p3_polynomial_form(n)
+    value = DISPLAYED[(3,)].count(n)
     factored = _p3_factored_form(n)
-    if polynomial != factored:
-        raise InternalMismatch(
-            f"difference-3 forms disagree at n={n}: {polynomial} vs {factored}"
-        )
-    return polynomial
-
-
-# Residue-class numerators over 6912 for the distance-(2,2) counting function.
-_P22_CASES = {
-    0: (0, 288, -24, -20, 3),
-    1: (-397, 492, -78, -20, 3),
-    2: (304, -48, -24, -20, 3),
-    3: (-2781, 1260, -78, -20, 3),
-    4: (2816, -480, -24, -20, 3),
-    5: (115, 492, -78, -20, 3),
-    6: (-3024, 720, -24, -20, 3),
-    7: (35, 492, -78, -20, 3),
-    8: (3328, -480, -24, -20, 3),
-    9: (-3213, 1260, -78, -20, 3),
-    10: (-208, -48, -24, -20, 3),
-    11: (547, 492, -78, -20, 3),
-}
+    if value != factored:
+        raise InternalError(f"difference-3 forms disagree at n={n}: {value} vs {factored}")
+    return value
 
 
 def p22_explicit(n: int) -> int:
-    """p(n,2,2) from the explicit twelve-case quartic table over 6912."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    c0, c1, c2, c3, c4 = _P22_CASES[n % 12]
-    value, rem = divmod(n**4 * c4 + n**3 * c3 + n**2 * c2 + n * c1 + c0, 6912)
-    if rem:
-        raise InternalError(f"distance-(2,2) case value at n={n} is not divisible by 6912")
-    return value
+    """p(n,2,2) from the displayed twelve-case quartic over 6912."""
+    return DISPLAYED[(2, 2)].count(n)

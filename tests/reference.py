@@ -1,7 +1,6 @@
 """Reference computations that only the tests read: the counted partitions
 listed one by one, the unrestricted partition numbers, Gaussian binomials by
-the q-Pascal recurrence, the paper's difference-3 and distance-(2,2) case
-tables as quasipolynomials, the alternating q-binomial sum of the closed
+the q-Pascal recurrence, the alternating q-binomial sum of the closed
 forms, the closed form built for one spec, against which
 genfun's shared (t, k) cores are checked, a grid of 78 distance vectors on
 which the tests run every route, and Heine's transformation of basic
@@ -23,7 +22,6 @@ from partition_gf.qseries import (
     _times_one_minus_q_powers,
     pochhammer_q,
 )
-from partition_gf.quasipoly import _P3_CASES, _P22_CASES, QuasiPolynomial
 
 
 def total_partition_count(n: int) -> int:
@@ -99,16 +97,6 @@ def alternating_sum(t: int, js, row=gauss_binomial_pascal) -> list[int]:
         for i, c in enumerate(row(t, j), math.comb(j + 1, 2)):
             out[i] += (-1) ** j * c
     return out
-
-
-def p3_quasipolynomial() -> QuasiPolynomial:
-    """The difference-3 case table as a QuasiPolynomial (period 6, degree 3)."""
-    return QuasiPolynomial(6, 3, tuple(_P3_CASES[r] for r in range(6)), 108)
-
-
-def p22_quasipolynomial() -> QuasiPolynomial:
-    """The distance-(2,2) case table as a QuasiPolynomial (period 12, degree 4)."""
-    return QuasiPolynomial(12, 4, tuple(_P22_CASES[r] for r in range(12)), 6912)
 
 
 def closed_form_specified_one_spec(spec) -> FactoredRational:

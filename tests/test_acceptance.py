@@ -87,7 +87,7 @@ def test_criterion_5_explicit_case_tables():
     for n in range(1, 201):
         assert quasipoly.p3_explicit(n) == table3[n]
     for n in range(1, 601):
-        quasipoly.p3_explicit(n)  # raises InternalMismatch if the two shapes split
+        quasipoly.p3_explicit(n)  # raises InternalError if the two shapes split
     table22 = counting.specified_table((2, 2), 200)
     for n in range(1, 201):
         assert quasipoly.p22_explicit(n) == table22[n]

@@ -81,8 +81,8 @@ class TestCompute:
             "100000000000000 = 10^14 (trial division)\n"
         )
 
-    # `all` leaves out only a quasipolynomial above the period cap; any other
-    # cap ends the command.
+    # `all` leaves out each route above its cap and, when no route is left,
+    # exits 2 naming the first cap: difference 0 has one route.
     def test_all_at_difference_zero_above_the_divisor_cap(self, capsys, monkeypatch):
         monkeypatch.setattr(counting, "math", SimpleNamespace(isqrt=None))
         argv = ("compute", "--n", str(10**20), "--distances", "0", "--method", "all")
@@ -159,6 +159,33 @@ class TestCompute:
         assert out.splitlines() == [
             f"n=11 distances=2,2 method={method} value=2" for method in ("enumerate", "series", "quasipoly")
         ]
+
+    # The point-count and series-order caps are patched down to 100, so that
+    # n = 101 is above both with nothing allocated at either side of them.
+    @pytest.mark.parametrize(
+        "n, distances, methods",
+        [
+            (100, "2,2", ["enumerate", "series", "quasipoly"]),
+            (101, "2,2", ["quasipoly"]),
+            (101, "1,2,1", ["quasipoly"]),
+        ],
+    )
+    def test_all_leaves_out_the_capped_routes(self, capsys, monkeypatch, n, distances, methods):
+        monkeypatch.setattr(counting, "MAX_ORDER", 100)
+        monkeypatch.setattr(genfun, "MAX_ORDER", 100)
+        value = counting.specified_table(parse_distances(distances), n)[n]
+        code, out, err = run(capsys, "compute", "--n", str(n), "--distances", distances, "--method", "all")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines() == [f"n={n} distances={distances} method={m} value={value}" for m in methods]
+
+    # With every route capped, `all` names the first: the point count.  At 13 the
+    # quasipolynomial is above the period cap, and 1,1 has none.
+    @pytest.mark.parametrize("distances", ["13", "1,1"])
+    def test_all_with_every_route_capped_names_the_first_cap(self, capsys, monkeypatch, distances):
+        monkeypatch.setattr(counting, "MAX_ORDER", 100)
+        monkeypatch.setattr(genfun, "MAX_ORDER", 100)
+        argv = ("compute", "--n", "101", "--distances", distances, "--method", "all")
+        assert run(capsys, *argv) == (EXIT_USAGE, "", "error: n=101 is above the point-count cap 100\n")
 
     def test_a_non_integral_quasipolynomial_value_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(quasipoly.QuasiPolynomial, "evaluate", lambda self, n: Fraction(1, 2))
@@ -253,6 +280,37 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "asymptotics", "--t-max", "6")
         assert code == EXIT_OK
         assert "asymptotics/leading/t=6" in out
+
+    # One displayed row per table of total t <= t-max; the difference-3 row reads the
+    # leading loop's fit at t = 3, so one fit per spec.
+    @pytest.mark.parametrize(
+        "t_max, displayed", [("2", []), ("3", ["3"]), ("4", ["2,2", "3"]), ("6", ["2,2", "3"])]
+    )
+    def test_asymptotics_suite_checks_each_displayed_table_once(self, capsys, monkeypatch, t_max, displayed):
+        real, fitted = quasipoly.from_closed_form, []
+        monkeypatch.setattr(quasipoly, "from_closed_form", lambda spec: fitted.append(spec) or real(spec))
+        code, out, _ = run(capsys, "verify", "--suite", "asymptotics", "--t-max", t_max)
+        assert code == EXIT_OK
+        ids = [line.split()[1] for line in out.splitlines()[:-1]]
+        assert [i for i in ids if "/displayed/" in i] == [f"asymptotics/displayed/distances={d}" for d in displayed]
+        assert fitted == [(t,) for t in range(2, int(t_max) + 1)] + [(2, 2)] * ("2,2" in displayed)
+
+    # A numerator of a displayed table, one above the fit's, fails that table's row alone.
+    @pytest.mark.parametrize("distances, r", [((3,), 2), ((2, 2), 5)])
+    def test_asymptotics_suite_fails_on_a_displayed_numerator(self, capsys, monkeypatch, distances, r):
+        table = quasipoly.DISPLAYED[distances]
+        rows = list(table.rows)
+        rows[r] = (rows[r][0] + 1, *rows[r][1:])
+        wrong = quasipoly.QuasiPolynomial(table.period, table.degree, tuple(rows), table.denominator)
+        monkeypatch.setitem(quasipoly.DISPLAYED, distances, wrong)
+        code, out, _ = run(capsys, "verify", "--suite", "asymptotics")
+        assert code == EXIT_VERIFY_FAIL
+        spec = ",".join(map(str, distances))
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+            f"FAIL asymptotics/displayed/distances={spec}: row {r}: "
+            f"fit {table.rows[r]}/{table.denominator} != displayed {rows[r]}/{table.denominator}"
+        ]
+        assert out.endswith("6/7 checks passed\n")
 
     def test_oeis_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "oeis", "--n-max", "120")
@@ -615,8 +673,9 @@ class TestOrderCaps:
                 ("compute", "--n", str(10**20), "--distances", "5"),
                 f"error: n={10**20} is above the point-count cap 1000000\n",
             ),
+            # Every route of 13 is capped: the quasipolynomial by the period cap.
             (
-                ("compute", "--n", str(10**20), "--distances", "5", "--method", "all"),
+                ("compute", "--n", str(10**20), "--distances", "13", "--method", "all"),
                 f"error: n={10**20} is above the point-count cap 1000000\n",
             ),
             (
@@ -632,6 +691,12 @@ class TestOrderCaps:
     )
     def test_refusal_is_usage_error(self, capsys, argv, err):
         assert run(capsys, *argv) == (EXIT_USAGE, "", err)
+
+    # Above both O(n) caps the quasipolynomial still answers.
+    def test_all_answers_by_the_quasipolynomial_above_the_caps(self, capsys):
+        assert run(capsys, "compute", "--n", "2000000", "--distances", "5", "--method", "all") == (
+            EXIT_OK, "n=2000000 distances=5 method=quasipoly value=444448611117592550925775926\n", ""
+        )
 
 
 class TestOeisCommand:

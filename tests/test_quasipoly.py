@@ -16,6 +16,7 @@ from partition_gf.counting import fixed_diff_table, specified_table
 from partition_gf.errors import (
     InconsistentSamples,
     InsufficientSamples,
+    InternalError,
     NonConstantLeading,
     OutOfRange,
     PeriodTooLarge,
@@ -23,6 +24,7 @@ from partition_gf.errors import (
 )
 from partition_gf.genfun import DistanceSpec, closed_form_fixed_diff, closed_form_specified
 from partition_gf.quasipoly import (
+    DISPLAYED,
     MAX_ORDER,
     MAX_PERIOD,
     QuasiPolynomial,
@@ -33,7 +35,6 @@ from partition_gf.quasipoly import (
     p22_explicit,
     required_order,
 )
-from reference import p3_quasipolynomial, p22_quasipolynomial
 
 # Small fixed-difference-3 values frozen from raw enumeration (n = 1..20).
 RAW_P3 = [0, 0, 0, 0, 1, 1, 3, 3, 7, 7, 12, 14, 20, 22, 32, 34, 45, 51, 63, 69]
@@ -46,14 +47,30 @@ class TestEvaluate:
         assert qp.evaluate(123456) == 5
 
     def test_difference_three_table_at_twelve(self):
-        assert p3_quasipolynomial().evaluate(12) == 14
+        assert DISPLAYED[(3,)].evaluate(12) == 14
 
     def test_distance_two_two_table_at_eleven(self):
-        assert p22_quasipolynomial().evaluate(11) == 2
+        assert DISPLAYED[(2, 2)].evaluate(11) == 2
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
-            p3_quasipolynomial().evaluate(0)
+            DISPLAYED[(3,)].evaluate(0)
+
+
+class TestCount:
+    def test_integer_value(self):
+        value = DISPLAYED[(3,)].count(12)
+        assert (type(value), value) == (int, 14)
+
+    def test_a_non_integral_value_raises(self):
+        qp = QuasiPolynomial(1, 1, ((0, 1),), 2)
+        assert qp.count(4) == 2
+        with pytest.raises(InternalError, match=r"^quasipolynomial value at n=3 is not integral: 3/2$"):
+            qp.count(3)
+
+    def test_rejects_nonpositive_n(self):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            DISPLAYED[(2, 2)].count(0)
 
 
 class TestConstructor:
@@ -73,7 +90,7 @@ class TestConstructor:
 
 class TestLeadingCoefficient:
     def test_difference_three(self):
-        assert p3_quasipolynomial().leading_coefficient() == Fraction(1, 108)
+        assert DISPLAYED[(3,)].leading_coefficient() == Fraction(1, 108)
 
     def test_mismatched_rows_raise(self):
         qp = QuasiPolynomial(2, 1, ((0, 1), (0, 2)), 1)
@@ -121,12 +138,12 @@ class TestFit:
 
     def test_difference_three_counts_reproduce_case_table(self):
         qp = fit(fixed_diff_table(3, 60), degree=3, period=6)
-        assert qp.rows == p3_quasipolynomial().rows
+        assert qp.rows == DISPLAYED[(3,)].rows
 
     def test_fit_is_canonical(self):
         # The fit's denominator 3! * 6^3 = 1296 reduces to the table's 108.
         qp = fit(fixed_diff_table(3, 60), degree=3, period=6)
-        table = p3_quasipolynomial()
+        table = DISPLAYED[(3,)]
         assert qp.denominator == table.denominator == 108
         assert qp == table
         assert hash(qp) == hash(table)
@@ -352,7 +369,7 @@ class TestExplicitTables:
         assert p3_explicit(n) == value
 
     def test_both_forms_agree_widely(self):
-        # p3_explicit itself raises InternalMismatch if the two shapes differ
+        # p3_explicit itself raises InternalError if the two shapes differ
         for n in range(1, 601):
             p3_explicit(n)
 
@@ -375,6 +392,26 @@ class TestExplicitTables:
             p3_explicit(0)
         with pytest.raises(ValueError):
             p22_explicit(-3)
+
+    # The paper's tables are route 3's fits exactly: every row and the denominator.
+    @pytest.mark.parametrize("distances", [(3,), (2, 2)])
+    def test_displayed_tables_are_the_fits(self, distances):
+        assert from_closed_form(distances) == DISPLAYED[distances]
+
+    def test_p3_shapes_that_disagree_raise(self, monkeypatch):
+        monkeypatch.setattr(quasipoly, "_p3_factored_form", lambda n: 0)
+        with pytest.raises(InternalError, match="^difference-3 forms disagree at n=12: 14 vs 0$"):
+            p3_explicit(12)
+
+    @pytest.mark.parametrize("explicit, distances", [(p3_explicit, (3,)), (p22_explicit, (2, 2))])
+    def test_a_non_integral_table_value_raises(self, monkeypatch, explicit, distances):
+        table = DISPLAYED[distances]
+        rows = ((table.rows[0][0] + 1, *table.rows[0][1:]), *table.rows[1:])
+        monkeypatch.setitem(DISPLAYED, distances, QuasiPolynomial(table.period, table.degree, rows, table.denominator))
+        assert explicit(1) == 0
+        n = table.period
+        with pytest.raises(InternalError, match=f"^quasipolynomial value at n={n} is not integral: "):
+            explicit(n)
 
 
 class TestSerialization:
@@ -430,11 +467,30 @@ class TestSerialization:
                 {"period": True, "degree": 1, "rows": [["0", "1/2"]]},
                 r"malformed document: TypeError\('period and degree must be integers, got True, 1'\)",
             ),
+            # Only strings: a float or a bool would load as a nearby fraction or as 0 or 1,
+            # and Fraction(inf) raises OverflowError.
+            (
+                {"period": 1, "degree": 1, "rows": [[0.1, True]]},
+                r"malformed document: TypeError\('coefficients must be strings, got 0.1'\)",
+            ),
+            (
+                {"period": 1, "degree": 1, "rows": [["0", True]]},
+                r"malformed document: TypeError\('coefficients must be strings, got True'\)",
+            ),
+            (
+                {"period": 1, "degree": 1, "rows": [["0", 1]]},
+                r"malformed document: TypeError\('coefficients must be strings, got 1'\)",
+            ),
+            (
+                json.loads('{"period": 1, "degree": 0, "rows": [[Infinity]]}'),
+                r"malformed document: TypeError\('coefficients must be strings, got inf'\)",
+            ),
         ],
         ids=[
             "too-few-rows", "short-row", "zero-denominator", "not-a-number",
             "no-rows", "no-period", "rows-not-a-list", "none-entry",
             "float-period-and-degree", "float-degree", "string-period", "bool-period",
+            "float-entry", "bool-entry", "int-entry", "infinite-entry",
         ],
     )
     def test_malformed_document_is_rejected(self, document, message):
@@ -442,13 +498,13 @@ class TestSerialization:
             QuasiPolynomial.from_json_dict(document)
 
     def test_reserialization_is_byte_identical(self):
-        qp = p22_quasipolynomial()
+        qp = DISPLAYED[(2, 2)]
         text = json.dumps(qp.to_json_dict(), indent=2)
         parsed = json.loads(text)
         assert json.dumps(parsed, indent=2) == text
 
     def test_rationals_rendered_as_fraction_strings(self):
-        data = p3_quasipolynomial().to_json_dict()
+        data = DISPLAYED[(3,)].to_json_dict()
         assert data["period"] == 6
         assert data["degree"] == 3
         assert data["rows"][0][3] == "1/108"
@@ -532,8 +588,11 @@ CLI_GOLDEN = {
         "e0c99a1105797f62f109c600ed3b5fe6a70549b7582386f46e8d9e3e016b27aa",
     ("verify", "--suite", "identities", "--t-max", "12", "--order", "400"):
         "09da1aadb275211a9def25e025f3d55f408b25dca75b0f7177486e76c156b06f",
+    # Retaken when the asymptotics suite gained its two asymptotics/displayed/ rows,
+    # the paper's tables against their fits: the earlier output plus those two PASS
+    # lines, with the total 46/46 raised to 48/48.
     ("verify", "--suite", "all"):
-        "7aef2778fd2d1756f62ab14cdf29e74cf680069722305e2940727ea544acd31a",
+        "f0502e153c1db33b7f138a7222e7ef76d82dda6da11c3af5bef8a3a45a0dd82c",
     # captured before SequenceFixture became a NamedTuple and b-files one writer
     ("oeis",):
         "d392d7b2f58eb08f7810070408e9516ded367fb691693ab680f55b7b3aaccf91",
