@@ -28,8 +28,8 @@ from .errors import InvalidDistance, TooLarge
 
 MAX_DIVISOR_N = 10**14  # trial division to sqrt(n): 10^7 steps there, about 0.8 s
 # The largest n or order of a route that holds O(n) coefficients: the point count,
-# `genfun.series` and the quasipolynomial fit's expansion (about 2.7 times its default
-# order at the period cap, 27720 * 13 + W).
+# `genfun.series` and the quasipolynomial fit's expansion, whose default order
+# W + lcm(1..t) * (t+1) passes it from t = 13 on (at t = 12 it is 27720 * 13 + W).
 MAX_ORDER = 10**6
 
 

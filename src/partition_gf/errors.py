@@ -29,10 +29,6 @@ class TooLarge(PartitionGFError):
     """An input exceeds a route's documented size cap (CLI exit code 2)."""
 
 
-class PeriodTooLarge(TooLarge):
-    """A quasipolynomial period lcm(1..t) exceeds the supported cap."""
-
-
 class InsufficientSamples(PartitionGFError):
     """A residue class has fewer sample points than degree + 1."""
 

@@ -28,15 +28,10 @@ from .errors import (
     InternalError,
     NonConstantLeading,
     OutOfRange,
-    PeriodTooLarge,
     TooLarge,
 )
 from .counting import MAX_ORDER, _coerce_spec
 from .genfun import closed_form_specified
-
-# The largest period fitted, lcm(1..12).  At t = 13 the period is 360360 and
-# the expansion order about 5.0M.
-MAX_PERIOD = 27720
 
 
 class QuasiPolynomial:
@@ -129,10 +124,13 @@ class QuasiPolynomial:
     @classmethod
     def from_json_dict(cls, data: dict) -> QuasiPolynomial:
         try:
-            for entry in chain.from_iterable(data["rows"]):
+            rows = data["rows"]
+            if type(rows) is not list or any(type(row) is not list for row in rows):
+                raise TypeError("rows must be a list of lists")  # ["12"] would load as ((1, 2),)
+            for entry in chain.from_iterable(rows):
                 if type(entry) is not str:  # 0.1 loads as 3602879701896397/36028797018963968
                     raise TypeError(f"coefficients must be strings, got {entry!r}")
-            rows = [[Fraction(entry) for entry in row] for row in data["rows"]]
+            rows = [[Fraction(entry) for entry in row] for row in rows]
             d = math.lcm(*(c.denominator for c in chain.from_iterable(rows)))
             rows = tuple(tuple(c.numerator * d // c.denominator for c in row) for row in rows)
             period, degree = data["period"], data["degree"]
@@ -207,28 +205,21 @@ def fit(values: Sequence[int], degree: int, period: int) -> QuasiPolynomial:
     return QuasiPolynomial(P, d, (columns[-1], *columns[:-1]), math.factorial(d) * P**d)
 
 
-def _period(t: int) -> int:
-    """lcm(1..t), or PeriodTooLarge as soon as the running lcm passes
-    MAX_PERIOD, before any larger integer is built."""
-    period = 1
-    for m in range(2, t + 1):
-        period = math.lcm(period, m)
-        if period > MAX_PERIOD:
-            bound = "" if m == t else f" >= lcm(1..{m})"
-            raise PeriodTooLarge(
-                f"t={t} needs quasipolynomial period lcm(1..{t}){bound} = {period}, "
-                f"above the cap {MAX_PERIOD} = lcm(1..12)"
-            )
-    return period
-
-
 def required_order(spec) -> int:
-    """The least order `from_closed_form` takes: t+1 samples per class.
-
-    Raises PeriodTooLarge when the period lcm(1..t) exceeds MAX_PERIOD.
-    """
+    """The least order `from_closed_form` takes, min_weight + lcm(1..t) * (t+1), or
+    TooLarge as soon as the running lcm(1..m) puts it above MAX_ORDER, before any
+    larger integer is built: every total t <= 12 fits, and none above."""
     spec = _coerce_spec(spec)
-    return spec.min_weight + _period(spec.total) * (spec.total + 1)
+    t, period = spec.total, 1
+    for m in range(1, t + 1):
+        period = math.lcm(period, m)
+        order = spec.min_weight + period * (t + 1)
+        if order > MAX_ORDER:
+            raise TooLarge(
+                f"t={t} needs fit order >= {order}, {t + 1} samples for each class "
+                f"mod lcm(1..{m}) = {period}, above the fit-order cap {MAX_ORDER}"
+            )
+    return order
 
 
 def from_closed_form(spec, order: int | None = None) -> QuasiPolynomial:
@@ -245,7 +236,7 @@ def from_closed_form(spec, order: int | None = None) -> QuasiPolynomial:
     if not spec.has_closed_form:
         raise OutOfRange(f"no closed form for t={t}, k={k}; need t > k")
     required = required_order(spec)
-    period = _period(t)
+    period = (required - spec.min_weight) // (t + 1)
     if order is None:
         order = required
     elif order < required:

@@ -179,7 +179,7 @@ class TestCompute:
         assert out.splitlines() == [f"n={n} distances={distances} method={m} value={value}" for m in methods]
 
     # With every route capped, `all` names the first: the point count.  At 13 the
-    # quasipolynomial is above the period cap, and 1,1 has none.
+    # quasipolynomial is above the fit-order cap, and 1,1 has none.
     @pytest.mark.parametrize("distances", ["13", "1,1"])
     def test_all_with_every_route_capped_names_the_first_cap(self, capsys, monkeypatch, distances):
         monkeypatch.setattr(counting, "MAX_ORDER", 100)
@@ -341,21 +341,26 @@ class TestVerify:
         assert err.startswith(f"error: {argv[2]} must be >= ")
 
     # The series-order cap binds --n-max where the routes suite runs and --order where the
-    # identities suite runs, before any suite does.  The cap is patched down to 120, the
-    # default --n-max, so that the values on each side of it run small.
+    # identities suite runs, and the t-max cap binds --t-max where either runs, before any
+    # suite does.  The series-order cap is patched down to 120, the default --n-max, so
+    # that the values on each side of it run small.
     @pytest.mark.parametrize(
-        "argv",
+        "argv, cap",
         [
-            ("--suite", "routes", "--n-max", "121"),
-            ("--suite", "identities", "--order", "121"),
-            ("--suite", "all", "--n-max", "121"),
-            ("--suite", "all", "--order", "121"),
-            ("--suite", "routes", "--n-max", str(10**20)),
+            (("--suite", "routes", "--n-max", "121"), "series-order cap 120"),
+            (("--suite", "identities", "--order", "121"), "series-order cap 120"),
+            (("--suite", "all", "--n-max", "121"), "series-order cap 120"),
+            (("--suite", "all", "--order", "121"), "series-order cap 120"),
+            (("--suite", "routes", "--n-max", str(10**20)), "series-order cap 120"),
+            (("--suite", "routes", "--t-max", "33"), "t-max cap 32"),
+            (("--suite", "identities", "--t-max", "33"), "t-max cap 32"),
+            (("--suite", "all", "--t-max", "33"), "t-max cap 32"),
+            (("--suite", "identities", "--t-max", str(10**20)), "t-max cap 32"),
         ],
     )
-    def test_a_series_order_above_the_cap_is_refused(self, capsys, monkeypatch, argv):
+    def test_a_value_above_its_cap_is_refused(self, capsys, monkeypatch, argv, cap):
         def refuse(*args):
-            raise AssertionError("ran a suite above the series-order cap")
+            raise AssertionError("ran a suite above a cap")
 
         monkeypatch.setattr(counting, "MAX_ORDER", 120)
         for name in ("routes", "core_identity_check", "p1_identity_check"):
@@ -363,19 +368,22 @@ class TestVerify:
         monkeypatch.setattr(quasipoly, "from_closed_form", refuse)
         code, out, err = run(capsys, "verify", *argv)
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == f"error: {argv[2]} {argv[3]} is above the series-order cap 120\n"
+        assert err == f"error: {argv[2]} {argv[3]} is above the {cap}\n"
 
+    # With the caps patched down to 120 and t-max 2, each suite runs at the caps it
+    # reads and past those it does not.
     @pytest.mark.parametrize(
         "argv, checks",
         [
             (("--suite", "routes", "--t-max", "2", "--n-max", "120", "--order", "121"), 3),
             (("--suite", "identities", "--t-max", "2", "--n-max", "121", "--order", "60"), 2),
-            (("--suite", "asymptotics", "--t-max", "2", "--n-max", "121", "--order", "121"), 1),
-            (("--suite", "oeis", "--n-max", str(10**20)), 4),
+            (("--suite", "asymptotics", "--t-max", "3", "--n-max", "121", "--order", "121"), 3),
+            (("--suite", "oeis", "--t-max", "3", "--n-max", str(10**20)), 4),
         ],
     )
     def test_options_a_suite_does_not_read_are_not_capped(self, capsys, monkeypatch, argv, checks):
         monkeypatch.setattr(counting, "MAX_ORDER", 120)
+        monkeypatch.setattr("partition_gf.cli.MAX_SUITE_T", 2)
         code, out, _ = run(capsys, "verify", *argv)
         assert code == EXIT_OK
         assert out.endswith(f"{checks}/{checks} checks passed\n")
@@ -582,34 +590,35 @@ def test_out_of_range_value_is_usage_error(capsys, argv, err):
     assert run(capsys, *argv) == (EXIT_USAGE, "", err)
 
 
-class TestPeriodCap:
-    """Above period lcm(1..12) every quasipolynomial route refuses before
-    expanding anything."""
+class TestFitOrderCap:
+    """From total 13 on, where the default fit order W + lcm(1..t) * (t+1)
+    passes 10^6, every quasipolynomial route refuses before expanding anything."""
 
     @pytest.fixture(autouse=True)
     def no_expansion(self, monkeypatch):
         def refuse(spec):
-            raise AssertionError("expanded a closed form above the period cap")
+            raise AssertionError("expanded a closed form above the fit-order cap")
 
         monkeypatch.setattr(quasipoly, "closed_form_specified", refuse)
 
+    # W = 15 for 13, and 22 for 6,7.
     @pytest.mark.parametrize(
-        "argv",
+        "argv, order",
         [
-            ("fit", "--distances", "13"),
-            ("fit", "--distances", "6,7", "--order", "100"),
-            ("compute", "--n", "50", "--distances", "13", "--method", "quasipoly"),
-            ("verify", "--suite", "asymptotics", "--t-max", "13"),
-            ("verify", "--suite", "all", "--t-max", "13"),
+            (("fit", "--distances", "13"), 5045055),
+            (("fit", "--distances", "6,7", "--order", "100"), 5045062),
+            (("compute", "--n", "50", "--distances", "13", "--method", "quasipoly"), 5045055),
+            (("verify", "--suite", "asymptotics", "--t-max", "13"), 5045055),
+            (("verify", "--suite", "all", "--t-max", "13"), 5045055),
         ],
     )
-    def test_refusal_is_usage_error(self, capsys, argv):
+    def test_refusal_is_usage_error(self, capsys, argv, order):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
         assert err == (
-            "error: t=13 needs quasipolynomial period lcm(1..13) = 360360, "
-            "above the cap 27720 = lcm(1..12)\n"
+            f"error: t=13 needs fit order >= {order}, 14 samples for each class "
+            "mod lcm(1..13) = 360360, above the fit-order cap 1000000\n"
         )
 
     def test_compute_all_drops_quasipoly(self, capsys):
@@ -620,23 +629,24 @@ class TestPeriodCap:
             "n=50 distances=13 method=series value=14186",
         ]
 
-    # Past t = 13 the refusal names the first lcm above the cap, never
-    # lcm(1..t) itself, which has over 4300 digits at t = 10000.
+    # Past t = 13 the refusal names the first lcm(1..m) that puts the order
+    # above the cap, never lcm(1..t) itself, which has over 4300 digits at
+    # t = 10000: there 420 * 10001 + 10002 passes it.
     @pytest.mark.parametrize(
-        "argv,t",
+        "argv, t, m, lcm",
         [
-            (("verify", "--suite", "asymptotics", "--t-max", "10000"), 10000),
-            (("fit", "--distances", "20000"), 20000),
-            (("compute", "--n", "5", "--distances", "10000", "--method", "quasipoly"), 10000),
+            (("verify", "--suite", "asymptotics", "--t-max", "10000"), 10000, 7, 420),
+            (("fit", "--distances", "20000"), 20000, 5, 60),
+            (("compute", "--n", "5", "--distances", "10000", "--method", "quasipoly"), 10000, 7, 420),
         ],
     )
-    def test_huge_t_refusal_names_the_first_lcm_above_the_cap(self, capsys, argv, t):
+    def test_huge_t_refusal_names_the_first_lcm_above_the_cap(self, capsys, argv, t, m, lcm):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
         assert err == (
-            f"error: t={t} needs quasipolynomial period lcm(1..{t}) >= lcm(1..13) = 360360, "
-            "above the cap 27720 = lcm(1..12)\n"
+            f"error: t={t} needs fit order >= {t + 2 + lcm * (t + 1)}, {t + 1} samples for each "
+            f"class mod lcm(1..{m}) = {lcm}, above the fit-order cap 1000000\n"
         )
 
     def test_huge_t_enumerate_ignores_the_cap(self, capsys):
@@ -673,7 +683,7 @@ class TestOrderCaps:
                 ("compute", "--n", str(10**20), "--distances", "5"),
                 f"error: n={10**20} is above the point-count cap 1000000\n",
             ),
-            # Every route of 13 is capped: the quasipolynomial by the period cap.
+            # Every route of 13 is capped: the quasipolynomial by the fit-order cap.
             (
                 ("compute", "--n", str(10**20), "--distances", "13", "--method", "all"),
                 f"error: n={10**20} is above the point-count cap 1000000\n",

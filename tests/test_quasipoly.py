@@ -4,6 +4,7 @@ coefficient law."""
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -19,14 +20,12 @@ from partition_gf.errors import (
     InternalError,
     NonConstantLeading,
     OutOfRange,
-    PeriodTooLarge,
     TooLarge,
 )
 from partition_gf.genfun import DistanceSpec, closed_form_fixed_diff, closed_form_specified
 from partition_gf.quasipoly import (
     DISPLAYED,
     MAX_ORDER,
-    MAX_PERIOD,
     QuasiPolynomial,
     expected_leading,
     fit,
@@ -231,19 +230,36 @@ class TestFromClosedForm:
         assert required_order(DistanceSpec((3,))) == 5 + 6 * 4
         assert required_order((2, 2)) == 9 + 12 * 5
 
-    def test_period_cap_refuses_before_expanding(self, monkeypatch):
+    # The fit-order cap on the default order W + lcm(1..t) * (t+1) admits every
+    # total t <= 12 and no larger one, by arithmetic: nothing is expanded.
+    @pytest.mark.parametrize("t, fits", [(12, True), (13, False)])
+    def test_fit_order_cap_admits_exactly_the_totals_to_12(self, t, fits):
+        compositions = [
+            tuple(b - a for a, b in zip((0, *cuts), (*cuts, t)))
+            for k in range(1, t + 1)
+            for cuts in itertools.combinations(range(1, t), k - 1)
+        ]
+        assert len(compositions) == 2 ** (t - 1)
+        for distances in compositions:
+            spec = DistanceSpec(distances)
+            if fits:
+                assert required_order(spec) == spec.min_weight + math.lcm(*range(1, 13)) * 13
+                assert required_order(spec) <= MAX_ORDER
+            else:
+                with pytest.raises(TooLarge, match=r"lcm\(1\.\.13\) = 360360, above the fit-order cap"):
+                    required_order(spec)
+
+    def test_fit_order_cap_refuses_before_expanding(self, monkeypatch):
         def refuse(spec):
-            raise AssertionError("expanded a closed form above the period cap")
+            raise AssertionError("expanded a closed form above the fit-order cap")
 
         monkeypatch.setattr(quasipoly, "closed_form_specified", refuse)
-        assert MAX_PERIOD == math.lcm(*range(1, 13))
-        spec = DistanceSpec((12,))
-        assert required_order(spec) == spec.min_weight + MAX_PERIOD * 13
         for distances in [(13,), (6, 7), (1, 1, 11), (20,)]:
-            with pytest.raises(PeriodTooLarge, match="lcm.* = [0-9]+, above the cap 27720"):
-                required_order(distances)
-            with pytest.raises(PeriodTooLarge):
-                from_closed_form(distances, 10**7)
+            for order in [None, 10**7]:
+                with pytest.raises(TooLarge) as info:
+                    from_closed_form(distances, order)
+                assert type(info.value) is TooLarge
+                assert str(info.value).startswith(f"t={sum(distances)} needs fit order >= ")
 
     def test_order_cap_refuses_before_expanding(self, monkeypatch):
         def refuse(spec):
@@ -267,9 +283,9 @@ class TestFromClosedForm:
         with pytest.raises(TooLarge, match=f"^order {cap + 1} is above the fit-order cap {cap}$"):
             from_closed_form(spec, cap + 1)
 
-    def test_period_cap_stops_the_running_lcm(self, monkeypatch):
-        # At t = 10**5, lcm(1..t) has over 43000 digits; the cap is checked
-        # as soon as the running lcm passes it, at m = 13.
+    def test_fit_order_cap_stops_the_running_lcm(self, monkeypatch):
+        # At t = 10**5, lcm(1..t) has over 43000 digits; the cap is checked at
+        # each step of the running lcm, and 12 * 100001 + W passes it at m = 4.
         real_lcm = math.lcm
         largest = []
 
@@ -279,12 +295,12 @@ class TestFromClosedForm:
             return value
 
         monkeypatch.setattr(math, "lcm", lcm)
-        with pytest.raises(PeriodTooLarge) as info:
+        with pytest.raises(TooLarge) as info:
             required_order((10**5,))
-        assert max(largest) == 360360
+        assert max(largest) == 12
         assert str(info.value) == (
-            "t=100000 needs quasipolynomial period lcm(1..100000) >= lcm(1..13) = 360360, "
-            "above the cap 27720 = lcm(1..12)"
+            "t=100000 needs fit order >= 1300014, 100001 samples for each class "
+            "mod lcm(1..4) = 12, above the fit-order cap 1000000"
         )
 
     @pytest.mark.parametrize("t", range(2, 7))
@@ -445,7 +461,20 @@ class TestSerialization:
             ),
             (
                 {"period": 2, "degree": 1, "rows": 5},
-                r"malformed document: TypeError\(\"'int' object is not iterable\"\)",
+                r"malformed document: TypeError\('rows must be a list of lists'\)",
+            ),
+            # A string or a dict would load as the list of its characters or keys.
+            (
+                {"period": 1, "degree": 1, "rows": ["12"]},
+                r"malformed document: TypeError\('rows must be a list of lists'\)",
+            ),
+            (
+                {"period": 1, "degree": 1, "rows": [{"1": 0, "2": 0}]},
+                r"malformed document: TypeError\('rows must be a list of lists'\)",
+            ),
+            (
+                {"period": 1, "degree": 0, "rows": "7"},
+                r"malformed document: TypeError\('rows must be a list of lists'\)",
             ),
             (
                 {"period": 2, "degree": 1, "rows": [["0", None], ["0", "1"]]},
@@ -488,7 +517,8 @@ class TestSerialization:
         ],
         ids=[
             "too-few-rows", "short-row", "zero-denominator", "not-a-number",
-            "no-rows", "no-period", "rows-not-a-list", "none-entry",
+            "no-rows", "no-period", "rows-not-a-list",
+            "string-row", "dict-row", "string-rows", "none-entry",
             "float-period-and-degree", "float-degree", "string-period", "bool-period",
             "float-entry", "bool-entry", "int-entry", "infinite-entry",
         ],
