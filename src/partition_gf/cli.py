@@ -123,9 +123,10 @@ def cmd_series(args) -> int:
         raise UsageError("series requires distances >= 1 (difference 0 is a divisor count)")
     if args.order < 1:
         raise UsageError(f"order must be >= 1, got {args.order}")
-    coeffs = [str(c) for c in genfun.series(distances, args.order).coeffs]
-    if args.format == "json":
-        print(json.dumps({"spec": list(distances), "order": args.order, "coeffs": coeffs}, indent=2))
+    coeffs = list(map(str, genfun.series(distances, args.order).coeffs))
+    if args.format == "json":  # json.dumps(indent=2)'s bytes without its pure-Python encoder, as in fit
+        spec, values = ",\n    ".join(map(str, distances)), '",\n    "'.join(coeffs)
+        print(f'{{\n  "spec": [\n    {spec}\n  ],\n  "order": {args.order},\n  "coeffs": [\n    "{values}"\n  ]\n}}')
     elif args.format == "csv":
         print("n,coefficient")
         for n, c in enumerate(coeffs):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from itertools import islice, repeat
+from itertools import islice
 from typing import Sequence
 
 from .errors import InvalidDistance, TooLarge
@@ -31,6 +31,14 @@ MAX_DIVISOR_N = 10**14  # trial division to sqrt(n): 10^7 steps there, about 0.8
 # `genfun.series` and the quasipolynomial fit's expansion, whose default order
 # W + lcm(1..t) * (t+1) passes it from t = 13 on (at t = 12 it is 27720 * 13 + W).
 MAX_ORDER = 10**6
+# The point count's windows take 1.4-2.9 ns per unit of cut * n * w (n = 10^5..10^6, w from
+# `_slot_bits`, one 2-vCPU Xeon), so a count at this cap ends in about 10 s: 18 s at n = 10^6,
+# distances 3 (7.2e9 units) is refused, and 6.2 s at n = 5 * 10^5 (3.6e9) is not.
+MAX_POINT_WORK = 4 * 10**9
+# The divisor sieve counts in bytes: d(n) <= 240 for n <= 10^6 (at 720720; 1081080 is the first
+# n with 256 divisors).  It covers the series-order cap, MAX_ORDER.
+MAX_SIEVE_N = 10**6
+_PLUS_TWO = bytes(range(2, 256)) + bytes(2)  # byte b -> b + 2 mod 256
 
 
 def divisor_count(n: int) -> int:
@@ -118,13 +126,16 @@ def fixed_diff_table(t: int, n_max: int) -> list[int]:
         return specified_table((t,), n_max)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if n_max > MAX_SIEVE_N:
+        raise TooLarge(f"n_max={n_max} is above the divisor-sieve cap {MAX_SIEVE_N}")
     # All parts equal one divisor of n.  Divisors pair up as d < n/d, so each
-    # d <= sqrt(n_max) counts once at d*d and twice at every n = d*e with e > d.
-    counts = [0] * (n_max + 1)
+    # d <= sqrt(n_max) counts once at d*d and twice at every n = d*e with e > d,
+    # by one C-level byte translation per d.
+    counts = bytearray(n_max + 1)
     for d in range(1, math.isqrt(n_max) + 1):
         counts[d * d] += 1
-        counts[d * (d + 1) :: d] = map(operator.add, counts[d * (d + 1) :: d], repeat(2))
-    return counts
+        counts[d * (d + 1) :: d] = counts[d * (d + 1) :: d].translate(_PLUS_TWO)
+    return list(counts)
 
 
 def specified_table(spec, n_max: int) -> list[int]:
@@ -184,27 +195,30 @@ def _unpack(packed: int, size: int, w: int) -> list[int]:
     return slots
 
 
-def _slot_bits(n_max: int, t: int) -> int:
-    """Bits per slot, a multiple of 8, so that no carry or borrow crosses a slot.
-    A count of partitions of j <= n_max into t+1 consecutive part values is at most
-    p(n_max) < e^(pi sqrt(2n/3)) < 2^sqrt(14n) (Apostol, Introduction to Analytic Number
-    Theory, Thm 14.5) and, with m = min(t, n_max) + 1, at most (n_max+1) ceil(V) for
+def _slot_bits(n_max: int, t: int, summed: bool = True) -> int:
+    """Bits per slot, a multiple of 8, so that no carry or borrow crosses a slot.  A slot holds
+    a window entry, a count of partitions of j <= n_max into t+1 consecutive part values, or, if
+    `summed`, a sum of up to n_max+1 entries.  Either is at most p(n_max) < e^(pi sqrt(2n/3)) <
+    2^sqrt(14n) (Apostol, Introduction to Analytic Number Theory, Thm 14.5); with
+    m = min(t, n_max) + 1 an entry is at most ceil(V), and a sum (n_max+1) ceil(V), for
     V = (n_max + m(m+1)/2 - 1)^(m-1) / ((m-1)! m!), the volume in step 2 at j = n_max:
     1. A window for smallest part s counts at most p_{<=m}(j): x_i copies of s+i
        (none above j) map one to one to x_i copies of i+1 plus (s-1) sum x_i ones.
     2. p_{<=m}(j) <= vol {y >= 0 : sum_{i=2..m} i y_i <= j + sum_{i=2..m} i}: x_1 is
        fixed by the others, and their unit cubes are disjoint, inside it (Nathanson 2000).
     3. The doubling's partial products, a window after dropping coin s and the partial
-       sums of the counts are >= 0 and at most a final count, <= n_max+1 window entries.
+       sums of the counts are >= 0 and at most a final entry or sum.
     4. count_specified reads a Gaussian row [r+t, t] only if (cut+1)(k+1+r) <= n_max with
        cut >= t, so rt < n_max: coefficient j counts partitions of j < n_max into parts <= t,
        at most p_{<=m}(j) (m > min(t, j)); its passes are exact mod 2^((rt+1)w).
-    It sizes genfun's direct sum too: exact mod 2^(size*w), only its final counts must fit."""
+    The point count reads one entry a slot: a window's top slot or a row coefficient.  The
+    table and genfun's direct sum add entries into a slot; the direct sum is exact mod
+    2^(size*w), so only its final counts, the table's, must fit."""
     m = min(t, n_max) + 1  # no part exceeds n_max
     numerator = (n_max + m * (m + 1) // 2 - 1) ** (m - 1)
     simplex = -(-numerator // math.factorial(m - 1) // math.factorial(m))
     partition = math.isqrt(14 * n_max) + 1
-    return -(-min(partition, ((n_max + 1) * simplex).bit_length()) // 8) * 8
+    return -(-min(partition, ((n_max + 1 if summed else 1) * simplex).bit_length()) // 8) * 8
 
 
 def count_specified(n: int, spec) -> int:
@@ -216,7 +230,11 @@ def count_specified(n: int, spec) -> int:
         raise TooLarge(f"n={n} is above the point-count cap {MAX_ORDER}")
     spec = _coerce_spec(spec)
     t = spec.total
-    return _count(n, spec, max(t, 1 << (n * t).bit_length() // 3))
+    cut = max(t, 1 << (n * t).bit_length() // 3)
+    work = min(cut, n) * n * _slot_bits(n, t, summed=False)
+    if work > MAX_POINT_WORK:
+        raise TooLarge(f"n={n} needs cut*n*w = {work} units, above the point-count work cap {MAX_POINT_WORK}")
+    return _count(n, spec, cut)
 
 
 def _count(n: int, spec: DistanceSpec, cut: int) -> int:
@@ -224,9 +242,9 @@ def _count(n: int, spec: DistanceSpec, cut: int) -> int:
     and for s > cut by the number r of free parts.  They are s+i over a partition of the offsets i
     into at most r parts <= t, so [q^M] [r+t, t] (_gauss_rows) counts them at M = N - (k+1+r)s,
     N = n - weighted_total; for each r, 0 <= M <= rt holds for at most t+1 values of s.  cut >= t
-    keeps rt < n, inside the windows' slot width (_slot_bits, step 4)."""
+    keeps rt < n, inside one entry's slot width (_slot_bits, step 4)."""
     t, k, N = spec.total, spec.k, n - spec.weighted_total
-    w = _slot_bits(n, t)
+    w = _slot_bits(n, t, summed=False)
     # No window has base > n, and islice's stop must fit a C ssize_t (t may reach 2^63).
     count = sum(ways >> (n - base) * w for base, ways in islice(_windows(spec, n, w), min(cut, n)))
     top = (1 << w) - 1

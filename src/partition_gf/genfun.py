@@ -148,7 +148,7 @@ def partial_fraction_series(spec, order: int) -> TruncatedSeries:
     rational = _partial_fraction_rational(t, k, spec.weighted_total, order)
     if t > k:
         return TruncatedSeries(rational)
-    return TruncatedSeries((-1) ** k * d + c for d, c in zip(fixed_diff_table(0, order), rational))
+    return TruncatedSeries(map(operator.sub if k % 2 else operator.add, rational, fixed_diff_table(0, order)))
 
 
 def _partial_fraction_rational(t: int, k: int, lead: int, order: int) -> list[int]:

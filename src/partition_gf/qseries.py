@@ -29,9 +29,16 @@ All values are immutable and all public functions are pure.
 from __future__ import annotations
 
 import operator
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import InternalError, InvalidExponent, OrderTooLarge
+
+# The list length from which a (1-q^m) pass runs as slice kernels, C loops over whole slices:
+# below it a slice's setup costs more than the per-coefficient Python loop it saves.  At 1024
+# and 4096 entries and m <= 16 the kernels take about half the loop's time, at 64 more than it
+# (Python 3.11, one 2-vCPU Xeon).
+SLICE_LEN = 256
 
 
 def _trim(coeffs: Iterable[int]) -> tuple[int, ...]:
@@ -76,15 +83,28 @@ class TruncatedSeries:
 
 
 def _divide_by_one_minus_q_power(coeffs: list[int], m: int) -> None:
-    """In place: multiply by the geometric expansion of 1/(1-q^m)."""
-    for j in range(m, len(coeffs)):
-        coeffs[j] += coeffs[j - m]
+    """In place: multiply by the geometric expansion of 1/(1-q^m), m >= 1.  From SLICE_LEN
+    entries on, by a running sum along each of the m residue classes when m^2 < len, else
+    by blocks of m entries, each plus the block before it, already divided."""
+    size = len(coeffs)
+    if size < SLICE_LEN:
+        for j in range(m, size):
+            coeffs[j] += coeffs[j - m]
+    elif m * m < size:
+        for r in range(m):
+            coeffs[r::m] = accumulate(coeffs[r::m])
+    else:
+        for j in range(m, size, m):
+            coeffs[j : j + m] = map(operator.add, coeffs[j : j + m], coeffs[j - m : j])
 
 
 def _multiply_by_one_minus_q_power(coeffs: list[int], m: int) -> None:
-    """In place: multiply by (1 - q^m)."""
-    for j in range(len(coeffs) - 1, m - 1, -1):
-        coeffs[j] -= coeffs[j - m]
+    """In place: multiply by (1 - q^m), m >= 1 (the slice pass would empty the list at m = 0)."""
+    if len(coeffs) < SLICE_LEN:
+        for j in range(len(coeffs) - 1, m - 1, -1):
+            coeffs[j] -= coeffs[j - m]
+    else:
+        coeffs[m:] = map(operator.sub, coeffs[m:], coeffs[:-m])
 
 
 def _times_one_minus_q_powers(coeffs, ms) -> list[int]:

@@ -1,7 +1,8 @@
 """Reference computations that only the tests read: the counted partitions
 listed one by one, the unrestricted partition numbers, Gaussian binomials by
-the q-Pascal recurrence, the alternating q-binomial sum of the closed
-forms, the closed form built for one spec, against which
+the q-Pascal recurrence, the (1-q^m) passes one coefficient at a time, the
+divisor counts with no bound on a count, the alternating q-binomial sum of
+the closed forms, the closed form built for one spec, against which
 genfun's shared (t, k) cores are checked, a grid of 78 distance vectors on
 which the tests run every route, and Heine's transformation of basic
 hypergeometric series, a check of the qseries (1-q^m) passes that no route of
@@ -15,13 +16,7 @@ from typing import Iterator, Sequence
 
 from partition_gf.counting import _coerce_spec
 from partition_gf.errors import InvalidExponent
-from partition_gf.qseries import (
-    FactoredRational,
-    _divide_by_one_minus_q_power,
-    _multiply_by_one_minus_q_power,
-    _times_one_minus_q_powers,
-    pochhammer_q,
-)
+from partition_gf.qseries import FactoredRational, pochhammer_q
 
 
 def total_partition_count(n: int) -> int:
@@ -60,6 +55,30 @@ def gauss_binomial_pascal(top: int, bottom: int) -> tuple[int, ...]:
         new_row.append([1])
         row = new_row
     return tuple(row[bottom])
+
+
+def divide_by_one_minus_q_power(coeffs: list[int], m: int) -> None:
+    """In place: multiply by 1/(1-q^m), one coefficient at a time; the reference for
+    qseries' slice kernels."""
+    for j in range(m, len(coeffs)):
+        coeffs[j] += coeffs[j - m]
+
+
+def multiply_by_one_minus_q_power(coeffs: list[int], m: int) -> None:
+    """In place: multiply by (1 - q^m), one coefficient at a time, from the top down."""
+    for j in range(len(coeffs) - 1, m - 1, -1):
+        coeffs[j] -= coeffs[j - m]
+
+
+def divisor_counts(n_max: int) -> list[int]:
+    """d(n) for n = 0..n_max (entry 0 is 0), one list pass per divisor d <= sqrt(n_max) with
+    no bound on a count; the reference for the byte sieve of `counting.fixed_diff_table`."""
+    counts = [0] * (n_max + 1)
+    for d in range(1, math.isqrt(n_max) + 1):
+        counts[d * d] += 1
+        for n in range(d * (d + 1), n_max + 1, d):
+            counts[n] += 2
+    return counts
 
 
 def iter_specified(n: int, spec) -> Iterator[tuple[int, ...]]:
@@ -110,7 +129,10 @@ def closed_form_specified_one_spec(spec) -> FactoredRational:
     partial, poch = alternating_sum(t, range(k + 1)), pochhammer_q(t)
     core = [(-1) ** k * (a - p) for a, p in zip(partial, poch)]
     lead_exp = spec.weighted_total - math.comb(k + 1, 2)
-    numerator = _times_one_minus_q_powers([0] * lead_exp + core, [*range(1, k + 1), *range(1, t - k)])
+    factors = [*range(1, k + 1), *range(1, t - k)]
+    numerator = [0] * lead_exp + core + [0] * sum(factors)
+    for m in factors:
+        multiply_by_one_minus_q_power(numerator, m)
     denominator = [(m, 1) for m in range(1, t)] + [(t, 1)] + [(m, 1) for m in range(1, t + 1)]
     return FactoredRational(numerator, denominator).reduce()
 
@@ -150,9 +172,9 @@ def _heine_right_side(a_exp: int, b_exp: int, c_exp: int, z_exp: int, order: int
     s, cb = a_exp + b_exp + z_exp - c_exp, c_exp - b_exp  # exponents of abz/c and c/b
     total = two_phi_one(s, b_exp, b_exp + z_exp, cb, order)
     for e in range(cb, c_exp):
-        _multiply_by_one_minus_q_power(total, e)
+        multiply_by_one_minus_q_power(total, e)
     for e in range(z_exp, z_exp + b_exp):
-        _divide_by_one_minus_q_power(total, e)
+        divide_by_one_minus_q_power(total, e)
     return total
 
 
@@ -173,10 +195,10 @@ def two_phi_one(a: int, b: int, c: int, z: int, order: int) -> list[int]:
                 break
             if e < 0:
                 sign = -sign
-            _multiply_by_one_minus_q_power(term, abs(e))
-            _multiply_by_one_minus_q_power(term, b + j - 1)
-            _divide_by_one_minus_q_power(term, j)
-            _divide_by_one_minus_q_power(term, c + j - 1)
+            multiply_by_one_minus_q_power(term, abs(e))
+            multiply_by_one_minus_q_power(term, b + j - 1)
+            divide_by_one_minus_q_power(term, j)
+            divide_by_one_minus_q_power(term, c + j - 1)
         for idx in range(order + 1 - offset):
             total[offset + idx] += sign * term[idx]
     return total

@@ -187,6 +187,19 @@ class TestCompute:
         argv = ("compute", "--n", "101", "--distances", distances, "--method", "all")
         assert run(capsys, *argv) == (EXIT_USAGE, "", "error: n=101 is above the point-count cap 100\n")
 
+    # Above the point-count work cap `compute` exits 2 naming it, and `all` leaves the point
+    # count out: the series and the quasipolynomial still answer, and agree.
+    def test_the_work_cap_leaves_the_point_count_out(self, capsys, monkeypatch):
+        monkeypatch.setattr(counting, "MAX_POINT_WORK", 10**6)
+        argv = ("compute", "--n", "2000", "--distances", "5")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: n=2000 needs cut*n*w = 1280000 units, above the point-count work cap 1000000\n"
+        value = counting.specified_table((5,), 2000)[2000]
+        assert run(capsys, *argv, "--method", "all") == (EXIT_OK, "".join(
+            f"n=2000 distances=5 method={m} value={value}\n" for m in ("series", "quasipoly")
+        ), "")
+
     def test_a_non_integral_quasipolynomial_value_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(quasipoly.QuasiPolynomial, "evaluate", lambda self, n: Fraction(1, 2))
         code, out, err = run(capsys, "compute", "--n", "11", "--distances", "2,2", "--method", "quasipoly")
@@ -215,6 +228,20 @@ class TestSeries:
         assert data["order"] == 13
         assert data["coeffs"][9:] == ["1", "1", "2", "4", "5"]
         assert json.dumps(data, indent=2) == out.strip()
+
+    # The one-pass writer against the json module's indented output: one and several
+    # distances, at order 1, below and past a route's turn and in the slice kernels' lengths.
+    @pytest.mark.parametrize(
+        "distances, order",
+        [("1", 1), ("2,2", 1), ("5", 1), ("1,1,1", 40), ("3,1,4", 300), ("7", 1200), ("1", 2500)],
+    )
+    def test_json_is_the_json_modules_bytes(self, capsys, distances, order):
+        spec = parse_distances(distances)
+        coeffs = [str(c) for c in genfun.series(spec, order).coeffs]
+        want = json.dumps({"spec": list(spec), "order": order, "coeffs": coeffs}, indent=2) + "\n"
+        assert run(capsys, "series", "--distances", distances, "--order", str(order), "--format", "json") == (
+            EXIT_OK, want, ""
+        )
 
     def test_csv(self, capsys):
         code, out, _ = run(

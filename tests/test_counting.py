@@ -1,6 +1,7 @@
 """Enumeration oracles against values frozen from raw partition listings."""
 
 import functools
+import itertools
 import math
 import random
 from types import SimpleNamespace
@@ -21,12 +22,16 @@ from partition_gf.counting import (
 )
 from partition_gf.errors import InvalidDistance, TooLarge
 from partition_gf.genfun import DistanceSpec, direct_series_specified
-from partition_gf.qseries import (
-    _divide_by_one_minus_q_power,
-    _multiply_by_one_minus_q_power,
-    gauss_binomial,
+from partition_gf.qseries import gauss_binomial
+from reference import (
+    divide_by_one_minus_q_power,
+    divisor_counts,
+    iter_specified,
+    multiply_by_one_minus_q_power,
+    multiset_sums,
+    specified_grid,
+    total_partition_count,
 )
-from reference import iter_specified, multiset_sums, specified_grid, total_partition_count
 
 # Frozen from an independent raw enumeration of all partitions (filtering by
 # largest-smallest difference / milestone membership), computed before this
@@ -100,6 +105,17 @@ class TestCountFixedDiff:
         assert fixed_diff_table(0, 3000) == divisors
         for n_max in (0, 1, 2, 3, 4, 5, 6, 8, 9, 11, 12):
             assert fixed_diff_table(0, n_max) == divisors[: n_max + 1]
+
+    # Every count fits the sieve's byte through its cap, which covers the series-order cap.
+    def test_the_byte_sieve_is_exact_through_its_cap(self):
+        assert counting.MAX_SIEVE_N == counting.MAX_ORDER == 10**6
+        table = fixed_diff_table(0, counting.MAX_SIEVE_N)
+        assert table == divisor_counts(counting.MAX_SIEVE_N)
+        assert max(table) == table[720720] == divisor_count(720720) == 240
+
+    def test_the_divisor_sieve_cap(self):
+        with pytest.raises(TooLarge, match="^n_max=1000001 is above the divisor-sieve cap 1000000$"):
+            fixed_diff_table(0, counting.MAX_SIEVE_N + 1)
 
     def test_difference_one_counts_nondivisors(self):
         table = fixed_diff_table(1, 200)
@@ -175,11 +191,11 @@ def _list_nest(spec, order):
         return [0] * (order + 1)
     nested = [1] + [0] * ((order - first) % step)  # V_M, M = (order - first) // step + 1
     for m in range((order - first) // step, 0, -1):
-        _multiply_by_one_minus_q_power(nested, m)
-        _divide_by_one_minus_q_power(nested, m + t + 1)
+        multiply_by_one_minus_q_power(nested, m)
+        divide_by_one_minus_q_power(nested, m + t + 1)
         nested[:0] = [1] + [0] * (step - 1)
     for j in range(1, t + 2):
-        _divide_by_one_minus_q_power(nested, j)
+        divide_by_one_minus_q_power(nested, j)
     return [0] * first + nested
 
 
@@ -235,7 +251,7 @@ class TestPackedSlots:
             assert values.pop("direct") not in set(values.values()) and len(set(values.values())) == 1
 
     def test_point_count_width_is_what_keeps_it_exact(self, capsys, monkeypatch):
-        monkeypatch.setattr(counting, "_slot_bits", lambda n_max, t: 8)
+        monkeypatch.setattr(counting, "_slot_bits", lambda n_max, t, summed=True: 8)
         assert count_specified(2000, (5,)) != _list_nest((5,), 2000)[2000]
         assert main(["compute", "--n", "2000", "--distances", "5", "--method", "all"]) == 1
         assert "METHOD DISAGREEMENT" in capsys.readouterr().err
@@ -245,7 +261,7 @@ class TestPackedSlots:
         monkeypatch.setattr(counting, "_windows", lambda spec, n_max, w: iter(()))
         reference = _gauss_half(600, (5,), 5)
         assert reference > 0 and _count(600, DistanceSpec((5,)), 5) == reference
-        monkeypatch.setattr(counting, "_slot_bits", lambda n_max, t: 8)
+        monkeypatch.setattr(counting, "_slot_bits", lambda n_max, t, summed=True: 8)
         assert _count(600, DistanceSpec((5,)), 5) != reference
 
     @pytest.mark.parametrize("m", range(1, 13))
@@ -264,6 +280,44 @@ class TestPackedSlots:
         for n, p in enumerate(totals):
             bits = _slot_bits(n, max(n - 1, 0))
             assert bits % 8 == 0 and bits >= p.bit_length(), n
+
+
+class TestOneEntryWidth:
+    """The point count reads one entry a slot, so its width (_slot_bits, summed=False) leaves
+    out the n+1 entries that the table and the direct sum add into a slot."""
+
+    N_MAX = 600
+
+    @pytest.mark.parametrize("t", range(1, 9))
+    def test_every_entry_it_reads_fits(self, t):
+        # A window s is read at n only if its base, at least 2s + t, is <= n, through j = n - base:
+        # each window is slid in lists, cut to j <= N_MAX - 2s.  Row [r+t, t] is read only if rt < n.
+        n_max = self.N_MAX
+        window, widest = multiset_sums(range(1, t + 2), n_max), [0] * (n_max + 1)
+        for s in range(1, n_max // 2 + 1):
+            del window[n_max - 2 * s + 1 :]
+            widest[: len(window)] = map(max, widest, window)
+            multiply_by_one_minus_q_power(window, s)
+            divide_by_one_minus_q_power(window, s + t + 1)
+        row, row_tops = [1], [1]  # [t, t]; the largest coefficient of [r+t, t] for r = 0, 1, ...
+        for r in range(1, (n_max - 1) // t + 1):
+            row += [0] * t
+            multiply_by_one_minus_q_power(row, r + t)
+            divide_by_one_minus_q_power(row, r)
+            row_tops.append(max(row))
+        entries, tops = list(itertools.accumulate(widest, max)), list(itertools.accumulate(row_tops, max))
+        for n in range(1, n_max + 1):
+            w = _slot_bits(n, t, summed=False)
+            assert w % 8 == 0 and max(entries[n], tops[(n - 1) // t]).bit_length() <= w, n
+            assert w <= _slot_bits(n, t)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_the_grid_matches_the_table(self, k):
+        # Every composition of t <= 8 into k parts, at every eleventh n and at N_MAX.
+        for spec in (c for c in itertools.product(range(1, 9), repeat=k) if sum(c) <= 8):
+            table = specified_table(spec, self.N_MAX)
+            for n in [*range(1, self.N_MAX, 11), self.N_MAX]:
+                assert count_specified(n, spec) == table[n], (spec, n)
 
 
 @functools.cache
@@ -407,6 +461,34 @@ class TestCountSpecified:
         assert count_specified(40, (2, 2)) == specified_table((2, 2), 40)[40]
         with pytest.raises(TooLarge, match="^n=41 is above the point-count cap 40$"):
             count_specified(41, (2, 2))
+
+    # The work estimate cut*n*w, w the one-entry width: at n = 10^6 it is 256 * 10^6 * 184 at
+    # (12,) and 128 * 10^6 * 56 at (3,), both refused before any window; at n = 5 * 10^5, (3,)
+    # is 128 * 5 * 10^5 * 56 and is counted (6 s on one 2-vCPU Xeon; `_count` is patched here).
+    @pytest.mark.parametrize("n, distances, work", [(10**6, (12,), 47104000000), (10**6, (3,), 7168000000)])
+    def test_work_cap_is_checked_before_any_window(self, monkeypatch, n, distances, work):
+        def refuse(*args):
+            raise AssertionError("counted above the point-count work cap")
+
+        monkeypatch.setattr(counting, "_count", refuse)
+        assert counting.MAX_POINT_WORK == 4 * 10**9
+        message = f"n={n} needs cut*n*w = {work} units, above the point-count work cap 4000000000"
+        with pytest.raises(TooLarge) as info:
+            count_specified(n, distances)
+        assert str(info.value) == message
+
+    def test_work_cap_lets_a_count_below_it_through(self, monkeypatch):
+        monkeypatch.setattr(counting, "_count", lambda n, spec, cut: (n, cut))
+        assert count_specified(5 * 10**5, (3,)) == (5 * 10**5, 128)
+        assert 128 * 5 * 10**5 * _slot_bits(5 * 10**5, 3, summed=False) <= counting.MAX_POINT_WORK
+
+    def test_work_cap_is_inclusive(self, monkeypatch):
+        # (5,) at n = 2000: cut 16, w 40 bits, 16 * 2000 * 40 units.
+        monkeypatch.setattr(counting, "MAX_POINT_WORK", 1280000)
+        assert count_specified(2000, (5,)) == specified_table((5,), 2000)[2000]
+        monkeypatch.setattr(counting, "MAX_POINT_WORK", 1279999)
+        with pytest.raises(TooLarge, match="point-count work cap 1279999$"):
+            count_specified(2000, (5,))
 
 
 class TestQueryDispatch:

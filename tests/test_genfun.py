@@ -303,7 +303,7 @@ J2_SIGN_FLIP = (
     "operator.add if j % 2 else operator.sub",
     "operator.add if (j % 2) != (j == 2) else operator.sub",
 )
-DIVISOR_SIGN_FLIP = ("(-1) ** k * d + c", "(-1) ** (k + 1) * d + c")
+DIVISOR_SIGN_FLIP = ("operator.sub if k % 2 else operator.add", "operator.add if k % 2 else operator.sub")
 
 
 class TestPartialFractionSeries:

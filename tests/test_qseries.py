@@ -1,6 +1,7 @@
 """Polynomial, truncated-series, and factored-rational arithmetic."""
 
 import functools
+import math
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from partition_gf.qseries import (
     gauss_binomial,
     pochhammer_q,
 )
+import reference
 from reference import gauss_binomial_pascal
 
 
@@ -153,6 +155,44 @@ class TestSeriesDivision:
             _divide_by_one_minus_q_power(coeffs, m)
             _multiply_by_one_minus_q_power(coeffs, m)
             assert coeffs == a
+
+
+def _slice_edges():
+    """(size, m) at every edge of the slice kernels' regimes: one below SLICE_LEN and at it;
+    with r = isqrt(SLICE_LEN) + 1, m = r at sizes r^2 + 1 (residue classes, m^2 = len - 1) and
+    r^2 - 1 (blocks, m^2 = len + 1); and at each size m = 1, m^2 next to it, len - 1 and m >= len."""
+    size, r = qseries.SLICE_LEN, math.isqrt(qseries.SLICE_LEN) + 1
+    for length in (size - 1, size, r * r - 1, r * r + 1, 4 * size):
+        root = math.isqrt(length)
+        for m in sorted({1, 2, root - 1, root, root + 1, length - 1, length, length + 3}):
+            yield length, m
+
+
+class TestSliceKernels:
+    """The (1-q^m) passes against the per-coefficient loops of `reference`."""
+
+    @pytest.mark.parametrize("bound", [9, 10**40], ids=["small", "big"])
+    @pytest.mark.parametrize(
+        "kernel, loop",
+        [
+            (_divide_by_one_minus_q_power, reference.divide_by_one_minus_q_power),
+            (_multiply_by_one_minus_q_power, reference.multiply_by_one_minus_q_power),
+        ],
+        ids=["divide", "multiply"],
+    )
+    def test_match_the_loops_at_every_regime_edge(self, kernel, loop, bound):
+        rng = random.Random(bound)
+        for size, m in _slice_edges():
+            got = [rng.randint(-bound, bound) for _ in range(size)]
+            want = list(got)
+            kernel(got, m)
+            loop(want, m)
+            assert got == want, (size, m)
+
+    def test_the_edges_cover_both_regimes(self):
+        edges = list(_slice_edges())
+        assert {size for size, _ in edges} >= {qseries.SLICE_LEN - 1, qseries.SLICE_LEN}
+        assert {m * m - size for size, m in edges if size >= qseries.SLICE_LEN} >= {-1, 0, 1}
 
 
 class TestGeometricInverse:
