@@ -44,6 +44,9 @@ KNOWN_SEQUENCES: dict[str, tuple[str, Callable[[int], list[int]], int]] = {
 # offsets, so A008805 starts at index 0 with its n = 4 value.
 OFFSETS = {"A000005": 0, "A049820": 0, "A008805": -4, "A128508": 0}
 
+# A string, joined by os.path: in a fresh process a Path costs ~0.4 ms to build.
+_DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
 
 class SequenceFixture(NamedTuple):
     """An (index, value) table, indices strictly increasing, whose value for
@@ -61,8 +64,9 @@ def bfile_name(sequence_id: str) -> str:
     return f"b{match.group(1)}.txt"
 
 
-def parse_bfile(text: str, sequence_id: str) -> SequenceFixture:
-    """Parse b-file text: one 'index value' pair per line, '#' comments."""
+def parse_bfile(text: str, sequence_id: str, offset: int = 0) -> SequenceFixture:
+    """Parse b-file text, one 'index value' pair per line and '#' comments,
+    into a fixture at `offset`."""
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -80,25 +84,37 @@ def parse_bfile(text: str, sequence_id: str) -> SequenceFixture:
         entries.append((index, value))
     if not entries:
         raise ParseError(f"{sequence_id}: no data lines")
-    return SequenceFixture(sequence_id, tuple(entries))
+    return SequenceFixture(sequence_id, tuple(entries), offset)
+
+
+def _fixtures_dir(fixtures_dir: str | Path | None) -> str | Path:
+    """The argument, else $PARTITION_GF_FIXTURES as it reads now, else the packaged data."""
+    if fixtures_dir is not None:
+        return fixtures_dir
+    return os.environ.get("PARTITION_GF_FIXTURES") or _DATA_DIR
 
 
 def default_fixtures_dir(fixtures_dir: str | Path | None = None) -> Path:
-    if fixtures_dir is not None:
-        return Path(fixtures_dir)
-    return Path(os.environ.get("PARTITION_GF_FIXTURES") or Path(__file__).with_name("data"))
+    return Path(_fixtures_dir(fixtures_dir))
 
 
 def load_calibrated(sequence_id: str, fixtures_dir: str | Path | None = None) -> SequenceFixture:
     """Load a known sequence's b-file at its pinned offset; NotFound when
-    the sequence is unknown or its file is missing."""
+    the sequence is unknown or its path is not a regular file (so a FIFO is
+    never opened), ParseError when the file is not UTF-8 b-file text."""
     if sequence_id not in OFFSETS:
         raise NotFound(f"no offset pinned for {sequence_id}")
-    path = default_fixtures_dir(fixtures_dir) / bfile_name(sequence_id)
-    if not path.is_file():
+    path = os.path.join(_fixtures_dir(fixtures_dir), bfile_name(sequence_id))
+    if not os.path.isfile(path):
         raise NotFound(f"no fixture for {sequence_id} at {path}")
-    fixture = parse_bfile(path.read_text(encoding="utf-8"), sequence_id)
-    return fixture._replace(offset=OFFSETS[sequence_id])
+    with open(path, "rb") as file:
+        data = file.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{sequence_id} line {lineno}: not UTF-8 at byte {exc.start}") from None
+    return parse_bfile(text, sequence_id, OFFSETS[sequence_id])
 
 
 def oracle_values(sequence_id: str, n_max: int) -> dict[int, int]:
@@ -126,17 +142,20 @@ class CrossCheckReport(NamedTuple):
 
 
 def cross_check(fixture: SequenceFixture, computed: Mapping[int, int]) -> CrossCheckReport:
-    """Compare computed values against the fixture over their index overlap."""
-    by_index = dict(fixture.entries)
+    """Compare computed values against the fixture over their index overlap,
+    in one pass over the fixture: its indices increase, so the mismatches
+    come in n order."""
     mismatches = []
     checked = 0
-    for n in sorted(computed):
-        expected = by_index.get(n + fixture.offset)
-        if expected is None:
+    offset = fixture.offset
+    for index, expected in fixture.entries:
+        n = index - offset
+        value = computed.get(n)
+        if value is None:
             continue
         checked += 1
-        if expected != computed[n]:
-            mismatches.append((n, expected, computed[n]))
+        if expected != value:
+            mismatches.append((n, expected, value))
     if checked == 0:
         raise EmptyOverlap(
             f"{fixture.id}: computed range does not meet the fixture's indices"

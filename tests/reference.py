@@ -4,9 +4,10 @@ the q-Pascal recurrence, the (1-q^m) passes one coefficient at a time, the
 divisor counts with no bound on a count, the alternating q-binomial sum of
 the closed forms, the closed form built for one spec, against which
 genfun's shared (t, k) cores are checked, a grid of 78 distance vectors on
-which the tests run every route, and Heine's transformation of basic
+which the tests run every route, Heine's transformation of basic
 hypergeometric series, a check of the qseries (1-q^m) passes that no route of
-the package sums."""
+the package sums, the packed slot width with its simplex bound always computed
+exactly, and a b-file cross-check through a dict of the fixture's entries."""
 
 from __future__ import annotations
 
@@ -79,6 +80,33 @@ def divisor_counts(n_max: int) -> list[int]:
         for n in range(d * (d + 1), n_max + 1, d):
             counts[n] += 2
     return counts
+
+
+def slot_bits(n_max: int, t: int, summed: bool = True) -> int:
+    """`counting._slot_bits` with the simplex bound V always computed exactly: the reference for
+    its shortcut, which skips V where V cannot be the smaller bound."""
+    m = min(t, n_max) + 1
+    numerator = (n_max + m * (m + 1) // 2 - 1) ** (m - 1)
+    simplex = -(-numerator // math.factorial(m - 1) // math.factorial(m))
+    partition = math.isqrt(14 * n_max) + 1
+    return -(-min(partition, ((n_max + 1 if summed else 1) * simplex).bit_length()) // 8) * 8
+
+
+def cross_check(entries, offset: int, computed) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """(checked, mismatches) of computed {n: value} against b-file (index, value) entries whose
+    value for n sits at index n + offset, by a dict of the entries read at each computed n in
+    sorted order: the reference for `oeis.cross_check`'s one pass over the entries."""
+    by_index = dict(entries)
+    mismatches = []
+    checked = 0
+    for n in sorted(computed):
+        expected = by_index.get(n + offset)
+        if expected is None:
+            continue
+        checked += 1
+        if expected != computed[n]:
+            mismatches.append((n, expected, computed[n]))
+    return checked, tuple(mismatches)
 
 
 def iter_specified(n: int, spec) -> Iterator[tuple[int, ...]]:

@@ -29,6 +29,7 @@ from reference import (
     iter_specified,
     multiply_by_one_minus_q_power,
     multiset_sums,
+    slot_bits,
     specified_grid,
     total_partition_count,
 )
@@ -280,6 +281,29 @@ class TestPackedSlots:
         for n, p in enumerate(totals):
             bits = _slot_bits(n, max(n - 1, 0))
             assert bits % 8 == 0 and bits >= p.bit_length(), n
+
+
+class TestSlotBitsShortcut:
+    """_slot_bits skips the exact simplex bound V where lgamma puts V above the partition bound;
+    every width must equal the one computed with V exact."""
+
+    # The two bounds meet at t = 4..386 for these n (at t = 276 for n = 5 * 10^4, one entry);
+    # t runs past each meeting point, and n <= 60 covers every t >= n.
+    @pytest.mark.parametrize("n_max", [*range(0, 61, 3), 100, 300, 1000, 2000, 10**4, 5 * 10**4])
+    def test_every_width_equals_the_exact_formula(self, n_max):
+        for t in range(0, 300):
+            for summed in (True, False):
+                assert _slot_bits(n_max, t, summed) == slot_bits(n_max, t, summed), (t, summed)
+
+    def test_large_t_never_computes_the_simplex_bound(self, monkeypatch):
+        # V at n = t = 10^5 took 6 s, spent before the work cap could refuse.
+        def refuse(m):
+            raise AssertionError("computed the exact simplex bound")
+
+        monkeypatch.setattr(counting.math, "factorial", refuse)
+        assert _slot_bits(10**5, 10**5, summed=False) == 1184 == -(-(math.isqrt(14 * 10**5) + 1) // 8) * 8
+        with pytest.raises(TooLarge, match=r"= 11840000000000 units, above the point-count work cap 4000000000$"):
+            count_specified(10**5, (10**5,))
 
 
 class TestOneEntryWidth:

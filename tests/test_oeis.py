@@ -2,7 +2,10 @@
 
 import functools
 import http.server
+import os
+import random
 import runpy
+import signal
 import threading
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from partition_gf.errors import (
     NotFound,
     ParseError,
 )
+from reference import cross_check as reference_cross_check
 
 SHIPPED = sorted(oeis.KNOWN_SEQUENCES)
 
@@ -59,8 +63,46 @@ class TestParseBFile:
 
 class TestLoadFixture:
     def test_missing_raises_not_found(self, tmp_path):
-        with pytest.raises(NotFound):
+        with pytest.raises(NotFound) as info:
             oeis.load_calibrated("A000005", tmp_path)
+        assert str(info.value) == f"no fixture for A000005 at {tmp_path / 'b000005.txt'}"
+
+    def test_directory_raises_not_found(self, tmp_path):
+        (tmp_path / "b000005.txt").mkdir()
+        with pytest.raises(NotFound) as info:
+            oeis.load_calibrated("A000005", tmp_path)
+        assert str(info.value) == f"no fixture for A000005 at {tmp_path / 'b000005.txt'}"
+
+    def test_fifo_raises_not_found_without_opening_it(self, tmp_path):
+        # Opening a FIFO with no writer blocks; the alarm turns a hang into a failure.
+        os.mkfifo(tmp_path / "b000005.txt")
+
+        def hung(signum, frame):
+            raise TimeoutError("load_calibrated opened the FIFO")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(5)
+        try:
+            with pytest.raises(NotFound) as info:
+                oeis.load_calibrated("A000005", tmp_path)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert str(info.value) == f"no fixture for A000005 at {tmp_path / 'b000005.txt'}"
+
+    def test_undecodable_fixture_is_parse_error(self, tmp_path):
+        (tmp_path / "b000005.txt").write_bytes(b"# d(n)\n1 1\n2 2\n\xff\xfe 1\n")
+        with pytest.raises(ParseError, match=r"^A000005 line 4: not UTF-8 at byte 15$"):
+            oeis.load_calibrated("A000005", tmp_path)
+
+    def test_no_path_object_is_built(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a Path")
+
+        oeis.write_local_fixture("A000005", tmp_path, n_max=30)
+        monkeypatch.setattr(oeis, "Path", refuse)
+        assert len(oeis.load_calibrated("A000005", tmp_path).entries) == 30
+        assert len(oeis.load_calibrated("A000005").entries) == 400
 
     def test_unknown_sequence_raises_not_found(self, tmp_path):
         (tmp_path / "b999999.txt").write_text("1 1\n", encoding="utf-8")
@@ -87,6 +129,19 @@ class TestLoadFixture:
         monkeypatch.setenv("PARTITION_GF_FIXTURES", str(tmp_path))
         fixture = oeis.load_calibrated("A000005")
         assert len(fixture.entries) == 30
+
+    def test_env_var_is_read_at_each_call(self, tmp_path, monkeypatch):
+        oeis.write_local_fixture("A000005", tmp_path / "short", n_max=30)
+        oeis.write_local_fixture("A000005", tmp_path / "long", n_max=50)
+        monkeypatch.setenv("PARTITION_GF_FIXTURES", str(tmp_path / "short"))
+        assert len(oeis.load_calibrated("A000005").entries) == 30
+        monkeypatch.setenv("PARTITION_GF_FIXTURES", str(tmp_path / "long"))
+        assert len(oeis.load_calibrated("A000005").entries) == 50
+        assert len(oeis.load_calibrated("A000005", tmp_path / "short").entries) == 30  # the argument first
+        monkeypatch.setenv("PARTITION_GF_FIXTURES", "")  # empty: the packaged data
+        assert len(oeis.load_calibrated("A000005").entries) == 400
+        monkeypatch.delenv("PARTITION_GF_FIXTURES")
+        assert len(oeis.load_calibrated("A000005").entries) == 400
 
 
 PER_N = {
@@ -188,6 +243,32 @@ class TestPinnedOffsets:
         assert out.endswith("3/4 checks passed\n")
 
 
+class TestUndecodableFixture:
+    """A fixture that is not UTF-8 fails its own check with the sequence, line and byte named;
+    `verify` still runs the other rows."""
+
+    @pytest.fixture
+    def fixtures_dir(self, tmp_path):
+        shifted_copy("A000005", 0, tmp_path)
+        path = tmp_path / "b000005.txt"
+        text = path.read_bytes()
+        path.write_bytes(text + b"\xff\xfe 1")
+        line = text.count(b"\n") + 1
+        return tmp_path, f"A000005 line {line}: not UTF-8 at byte {len(text)}"
+
+    def test_oeis_command_names_it(self, fixtures_dir, capsys):
+        directory, message = fixtures_dir
+        assert main(["oeis", "--id", "A000005", "--n-max", "50", "--fixtures-dir", str(directory)]) == EXIT_VERIFY_FAIL
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_verify_fails_only_that_row(self, fixtures_dir, capsys):
+        directory, message = fixtures_dir
+        assert main(["verify", "--suite", "oeis", "--fixtures-dir", str(directory)]) == EXIT_VERIFY_FAIL
+        out = capsys.readouterr().out
+        assert f"FAIL oeis/A000005: {message}\n" in out
+        assert out.endswith("PASS oeis/A008805\nPASS oeis/A049820\nPASS oeis/A128508\n3/4 checks passed\n")
+
+
 class TestCrossCheck:
     @pytest.mark.parametrize("sequence_id", SHIPPED)
     def test_shipped_fixtures_match_oracle(self, sequence_id):
@@ -207,6 +288,26 @@ class TestCrossCheck:
         report = oeis.cross_check(corrupted, computed)
         assert not report.ok
         assert report.mismatches == ((40, 999, counting.divisor_count(40)),)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_one_pass_matches_the_dict_reference(self, seed):
+        # Fixtures with index gaps, negative and positive offsets, indices on both sides of the
+        # computed range, and a few values off by one.
+        rng = random.Random(seed)
+        indices = sorted(rng.sample(range(-20, 120), rng.randint(1, 60)))
+        entries = tuple((index, rng.randint(0, 9)) for index in indices)
+        offset = rng.randint(-6, 6)
+        lo = rng.randint(-10, 100)
+        computed = {n: dict(entries).get(n + offset, rng.randint(0, 9)) for n in range(lo, lo + rng.randint(1, 60))}
+        for n in rng.sample(sorted(computed), min(3, len(computed))):
+            computed[n] += 1
+        checked, mismatches = reference_cross_check(entries, offset, computed)
+        fixture = oeis.SequenceFixture("A000005", entries, offset)
+        if checked == 0:
+            with pytest.raises(EmptyOverlap):
+                oeis.cross_check(fixture, computed)
+        else:
+            assert oeis.cross_check(fixture, computed) == ("A000005", checked, mismatches)
 
     def test_disjoint_ranges_raise(self):
         fixture = oeis.parse_bfile("1 1\n2 2\n", "A000005")
