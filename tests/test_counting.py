@@ -287,7 +287,7 @@ class TestSlotBitsShortcut:
     """_slot_bits skips the exact simplex bound V where lgamma puts V above the partition bound;
     every width must equal the one computed with V exact."""
 
-    # The two bounds meet at t = 4..386 for these n (at t = 276 for n = 5 * 10^4, one entry);
+    # The two bounds meet at t = 4..276 for these n (at t = 276 for n = 5 * 10^4, one entry);
     # t runs past each meeting point, and n <= 60 covers every t >= n.
     @pytest.mark.parametrize("n_max", [*range(0, 61, 3), 100, 300, 1000, 2000, 10**4, 5 * 10**4])
     def test_every_width_equals_the_exact_formula(self, n_max):

@@ -67,15 +67,10 @@ class TestLoadFixture:
             oeis.load_calibrated("A000005", tmp_path)
         assert str(info.value) == f"no fixture for A000005 at {tmp_path / 'b000005.txt'}"
 
-    def test_directory_raises_not_found(self, tmp_path):
-        (tmp_path / "b000005.txt").mkdir()
-        with pytest.raises(NotFound) as info:
-            oeis.load_calibrated("A000005", tmp_path)
-        assert str(info.value) == f"no fixture for A000005 at {tmp_path / 'b000005.txt'}"
-
-    def test_fifo_raises_not_found_without_opening_it(self, tmp_path):
+    @pytest.mark.parametrize("make", [Path.mkdir, os.mkfifo], ids=["directory", "fifo"])
+    def test_not_a_regular_file_is_not_found_and_never_opened(self, tmp_path, make):
         # Opening a FIFO with no writer blocks; the alarm turns a hang into a failure.
-        os.mkfifo(tmp_path / "b000005.txt")
+        make(tmp_path / "b000005.txt")
 
         def hung(signum, frame):
             raise TimeoutError("load_calibrated opened the FIFO")
@@ -125,12 +120,7 @@ class TestLoadFixture:
         assert dict(fixture.entries)[8 + fixture.offset] == counting.count_specified(8, (2,))
 
     def test_env_var_controls_directory(self, tmp_path, monkeypatch):
-        oeis.write_local_fixture("A000005", tmp_path, n_max=30)
-        monkeypatch.setenv("PARTITION_GF_FIXTURES", str(tmp_path))
-        fixture = oeis.load_calibrated("A000005")
-        assert len(fixture.entries) == 30
-
-    def test_env_var_is_read_at_each_call(self, tmp_path, monkeypatch):
+        # It is read at each call, after the argument and before the packaged data.
         oeis.write_local_fixture("A000005", tmp_path / "short", n_max=30)
         oeis.write_local_fixture("A000005", tmp_path / "long", n_max=50)
         monkeypatch.setenv("PARTITION_GF_FIXTURES", str(tmp_path / "short"))
